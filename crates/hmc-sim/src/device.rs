@@ -11,7 +11,6 @@
 //! through [`Hmc::pop_responses`].
 
 use crate::energy::{EnergyBreakdown, EnergyClass};
-use crate::shard::ShardEngine;
 use crate::stats::HmcStats;
 use crate::vault::{QueuedRequest, ReadyResponse, Vault};
 use pac_trace::{DumpTrigger, EventKind, TraceHandle};
@@ -189,20 +188,11 @@ pub struct Hmc {
     pub energy: EnergyBreakdown,
     /// Structured-event tracer (disabled by default; zero-cost off).
     tracer: TraceHandle,
-    /// Parallel vault-shard engine, when armed via [`Hmc::set_parallel`].
-    /// `None` (the default) is the serial engine; with the engine armed
-    /// the workers own the authoritative vault state and `self.vaults`
-    /// goes stale until [`Hmc::quiesce_engine`] collects it back. Proven
-    /// bit-identical to serial (see `crate::shard` and the tests below).
-    engine: Option<ShardEngine>,
 }
 
 // `scratch` is empty between ticks (every tick takes and restores it
-// drained), the tracer is re-attached by the caller after restore, and
-// the shard engine is a runtime policy (a restored device starts serial
-// and the caller re-arms it) — all three are reset on load; everything
-// else round-trips exactly. A snapshot is only taken at quiesced
-// boundaries, where the device-side vault state is current.
+// drained) and the tracer is re-attached by the caller after restore —
+// both are reset on load; everything else round-trips exactly.
 pac_types::snapshot_fields!(Hmc {
     cfg,
     req_link_busy,
@@ -225,7 +215,6 @@ pac_types::snapshot_fields!(Hmc {
 } skip {
     scratch: Vec::new(),
     tracer: TraceHandle::disabled(),
-    engine: None,
 });
 
 impl Hmc {
@@ -250,7 +239,6 @@ impl Hmc {
             stats: HmcStats::default(),
             energy: EnergyBreakdown::new(),
             tracer: TraceHandle::disabled(),
-            engine: None,
             cfg,
         }
     }
@@ -258,96 +246,9 @@ impl Hmc {
     /// Attach a structured-event tracer. The device emits
     /// [`EventClass::Hmc`] events (submit, vault service, response,
     /// fault injection) and triggers a flight-recorder dump when a
-    /// planned fault fires. Tracing needs exact-cycle vault-service
-    /// emits, so attaching an enabled tracer tears down the shard
-    /// engine (after a quiesce, so no state is lost) and the device
-    /// falls back to the bit-identical serial engine.
+    /// planned fault fires.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        if tracer.is_enabled() && self.engine.is_some() {
-            self.quiesce_engine();
-            self.engine = None;
-        }
         self.tracer = tracer;
-    }
-
-    /// Arm (`shards > 1`) or disarm (`shards <= 1`) the parallel vault
-    /// shard engine. Safe at any quiescent point between ticks: the
-    /// current engine (if any) is quiesced first so no in-progress
-    /// state is lost. A no-op fallback to serial when an enabled tracer
-    /// is attached (tracing requires the serial engine) or a RAS plan
-    /// is armed (the link RAS state machine runs serially, like
-    /// tracing). Sharding is a runtime policy: metrics, energy,
-    /// snapshots, and oracle verdicts are bit-identical at every shard
-    /// count.
-    pub fn set_parallel(&mut self, shards: usize) {
-        self.quiesce_engine();
-        self.engine = None;
-        if shards > 1 && !self.tracer.is_enabled() && self.ras.is_none() {
-            self.engine = Some(ShardEngine::new(&self.cfg, &self.vaults, shards));
-        }
-    }
-
-    /// Number of vault shards the device currently runs (1 = serial).
-    pub fn shards(&self) -> usize {
-        self.engine.as_ref().map_or(1, |e| e.shards())
-    }
-
-    /// Harness self-metrics from the shard engine, when one is armed.
-    /// Purely observational; reset whenever the engine is rebuilt
-    /// (re-arm, restore), so a resumed run starts its accounting clean.
-    pub fn shard_stats(&self) -> Option<pac_types::ShardStats> {
-        self.engine.as_ref().map(|e| e.stats().clone())
-    }
-
-    /// Synchronize the shard engine with the device: advance every
-    /// shard to the last ticked cycle (producing any references the
-    /// lazy lookahead had deferred), integrate them canonically, and
-    /// collect the authoritative vault state back into `self.vaults`,
-    /// rebuilding the serial engine's issue caches. Afterwards the
-    /// whole `Hmc` is byte-identical to a serial device that ran the
-    /// same history — snapshots, `bank_conflicts`, and stats all read
-    /// true. No-op without an engine. Workers stay authoritative, so
-    /// ticking may continue afterwards.
-    pub fn quiesce_engine(&mut self) {
-        let Some(mut engine) = self.engine.take() else { return };
-        let (events, vaults) = engine.quiesce();
-        self.integrate_events(events);
-        self.vaults = vaults;
-        let mut min = u64::MAX;
-        for idx in 0..self.vaults.len() {
-            // `now = 0`: the clamp in `next_head_start` never binds for
-            // a cached entry (arrivals and post-issue starts are always
-            // in the future when cached), so 0 reproduces the serial
-            // cache exactly.
-            match self.vaults[idx].next_head_start(&self.cfg, 0) {
-                Some(c) => {
-                    self.vault_next[idx] = c;
-                    self.active[idx / 64] |= 1 << (idx % 64);
-                    min = min.min(c);
-                }
-                None => {
-                    self.vault_next[idx] = u64::MAX;
-                    self.active[idx / 64] &= !(1u64 << (idx % 64));
-                }
-            }
-        }
-        self.vault_next_min = min;
-        self.engine = Some(engine);
-    }
-
-    /// [`Self::quiesce_engine`] pinned to a between-ticks boundary: the
-    /// serial engine's wake set lands on every vault-issue cycle, so at
-    /// a pause with the clock at `boundary` it has issued exactly the
-    /// references with start `< boundary`. The shard engine's lazier
-    /// wake bound may have left some of those unissued, so force its
-    /// quiesce target up to `boundary - 1` before folding it back —
-    /// afterwards the snapshot is byte-identical to the serial device
-    /// paused at the same cycle.
-    pub fn quiesce_engine_at(&mut self, boundary: Cycle) {
-        if let Some(e) = &mut self.engine {
-            e.note_tick(boundary.saturating_sub(1));
-        }
-        self.quiesce_engine();
     }
 
     /// Device configuration.
@@ -381,14 +282,9 @@ impl Hmc {
     /// replay, token flow control, and the half-width/retire
     /// degradation ladder. The plan is validated against this device
     /// (link classes only, `target_link` bounds-checked), so a plan
-    /// that could never fire is an error at arm time. Arming tears down
-    /// the shard engine — the RAS state machine, like tracing, runs on
-    /// the serial engine — and subsequent [`Hmc::set_parallel`] calls
-    /// no-op back to serial.
+    /// that could never fire is an error at arm time.
     pub fn set_ras_plan(&mut self, plan: RasPlan) -> Result<(), RasPlanError> {
         let plan = plan.validate_for(BackendKind::Hmc, self.cfg.links)?;
-        self.quiesce_engine();
-        self.engine = None;
         self.ras = Some(LinkRas::new(plan, self.req_link_busy.len()));
         Ok(())
     }
@@ -588,103 +484,25 @@ impl Hmc {
             link: link as u32,
             remote,
         };
-        if let Some(engine) = &mut self.engine {
-            // Delayed delivery: the arrival is at least one link
-            // transfer + crossbar hop in the future, so the owning
-            // shard always sees the request before it can matter.
-            engine.deliver(vault as usize, queued);
-        } else {
-            self.active[vault as usize / 64] |= 1 << (vault % 64);
-            let v = &mut self.vaults[vault as usize];
-            let was_idle = v.is_idle();
-            v.enqueue(queued);
-            if was_idle {
-                // The enqueue installed a new head; a non-empty queue
-                // keeps its head (and therefore its cached start)
-                // unchanged.
-                let start = v.next_head_start(&self.cfg, now).expect("just enqueued");
-                self.vault_next[vault as usize] = start;
-                self.vault_next_min = self.vault_next_min.min(start);
-            }
+        self.active[vault as usize / 64] |= 1 << (vault % 64);
+        let v = &mut self.vaults[vault as usize];
+        let was_idle = v.is_idle();
+        v.enqueue(queued);
+        if was_idle {
+            // The enqueue installed a new head; a non-empty queue keeps
+            // its head (and therefore its cached start) unchanged.
+            let start = v.next_head_start(&self.cfg, now).expect("just enqueued");
+            self.vault_next[vault as usize] = start;
+            self.vault_next_min = self.vault_next_min.min(start);
         }
         self.inflight += 1;
         self.stats.peak_inflight = self.stats.peak_inflight.max(self.inflight as u64);
-    }
-
-    /// Earliest possible gap between a reference's issue and its data:
-    /// activate plus one 32-byte access chunk. The shard engine's
-    /// synchronization lookahead.
-    fn min_ready_offset(&self) -> Cycle {
-        self.cfg.t_activate + self.cfg.t_access_per_32b
-    }
-
-    /// Fold a batch of shard-produced events into the response path in
-    /// canonical order. Every issue's observable effects are a pure
-    /// function of `(start, vault)` and those keys are unique (one
-    /// issue per vault per cycle), so sorting on them reproduces the
-    /// serial engine's issue sequence exactly: the per-issue energy
-    /// charges replay in the identical order (bit-identical `f64`
-    /// accumulation) and `pending_seq` keys come out identical, which
-    /// in turn makes the downstream response-link schedule, fault
-    /// injection sites, and latency accounting bit-identical.
-    fn integrate_events(&mut self, mut events: Vec<ReadyResponse>) {
-        let cfg = self.cfg;
-        let start_of =
-            |r: &ReadyResponse| r.data_ready - Vault::reference_timing(&cfg, r.req.bytes).0;
-        events.sort_unstable_by_key(|r| (start_of(r), cfg.vault_of(r.req.addr)));
-        for r in events {
-            let start = start_of(&r);
-            // Replays of the four issue charges in `Vault::tick`, in
-            // its exact order.
-            self.energy.add(EnergyClass::VaultCtrl, 1, cfg.e_vault_ctrl);
-            self.energy.add(EnergyClass::BankActPre, 1, cfg.e_bank_act_pre);
-            self.energy.add(EnergyClass::BankAccess, r.req.bytes.div_ceil(32), cfg.e_bank_access_32b);
-            self.energy.add(
-                EnergyClass::VaultRqstSlot,
-                start - r.req.arrival + 1,
-                cfg.e_vault_rqst_slot,
-            );
-            let key = self.pending_seq;
-            self.pending_seq += 1;
-            self.pending_rsp.push(Reverse((r.data_ready, key)));
-            self.pending_store.insert(key, r);
-        }
-    }
-
-    /// Engine-mode vault phase of [`Hmc::tick`]: synchronize with the
-    /// shards only when a deferred reference's data could be due.
-    /// References issue with `data_ready = start + ready_off` and
-    /// `ready_off >= min_ready_offset`, so while the earliest unissued
-    /// start bound plus that offset is still in the future, no shard
-    /// can hold an event the response path needs yet — the workers keep
-    /// running without a barrier.
-    fn tick_engine(&mut self, now: Cycle) {
-        let mut engine = self.engine.take().expect("engine mode");
-        engine.note_tick(now);
-        if engine.lb().saturating_add(self.min_ready_offset()) <= now {
-            let events = engine.advance(now);
-            self.integrate_events(events);
-        }
-        self.engine = Some(engine);
     }
 
     /// Advance the device to cycle `now`: issue DRAM references in every
     /// vault and route finished responses back over the crossbar/links.
     pub fn tick(&mut self, now: Cycle) {
         if self.inflight == 0 {
-            return;
-        }
-        if self.engine.is_some() {
-            self.tick_engine(now);
-            // The response-path pop loop below is shared with serial.
-            while let Some(&Reverse((data_ready, key))) = self.pending_rsp.peek() {
-                if data_ready > now {
-                    break;
-                }
-                self.pending_rsp.pop();
-                let r = self.pending_store.remove(&key).expect("pending response");
-                self.schedule_response(r);
-            }
             return;
         }
         let mut ready = std::mem::take(&mut self.scratch);
@@ -835,21 +653,10 @@ impl Hmc {
         if let Some(&Reverse((data_ready, _))) = self.pending_rsp.peek() {
             best = best.min(data_ready.max(now));
         }
-        match &self.engine {
-            // No unissued reference can surface data before its start
-            // bound plus the minimum activate+access time, so waking at
-            // that cycle is never late; shard-deferred events are
-            // integrated at that tick before the response pop loop. A
-            // wake earlier than the serial engine's is a harmless no-op
-            // tick (the repo-wide skip-ahead contract).
-            Some(e) => {
-                best = best.min(e.lb().saturating_add(self.min_ready_offset()).max(now));
-            }
-            // Cached by `tick`/`submit`; exact, and already ≥ the cycle
-            // it was computed at, so only the `now` clamp of a
-            // stale-but-passed start is needed.
-            None => best = best.min(self.vault_next_min.max(now)),
-        }
+        // Cached by `tick`/`submit`; exact, and already ≥ the cycle it
+        // was computed at, so only the `now` clamp of a stale-but-passed
+        // start is needed.
+        best = best.min(self.vault_next_min.max(now));
         (best != u64::MAX).then_some(best)
     }
 
@@ -892,20 +699,14 @@ impl Hmc {
         (out, now)
     }
 
-    /// Total bank conflicts across all vaults. With the shard engine
-    /// armed this reads the device-side copy, which is only current at
-    /// a quiesced boundary — [`Hmc::finalize_stats`] and the system's
-    /// checkpoint path quiesce first, and tracing (the one mid-run
-    /// reader) forces the serial engine.
+    /// Total bank conflicts across all vaults.
     pub fn bank_conflicts(&self) -> u64 {
         self.vaults.iter().map(|v| v.conflicts()).sum()
     }
 
     /// Synchronize the conflict counter into `stats` (cheap; called by
-    /// the experiment harness at end of run). Quiesces the shard engine
-    /// first so the vault counters read true.
+    /// the experiment harness at end of run).
     pub fn finalize_stats(&mut self) {
-        self.quiesce_engine();
         self.stats.bank_conflicts = self.bank_conflicts();
     }
 }
@@ -1260,146 +1061,6 @@ mod tests {
         w.into_bytes()
     }
 
-    /// Drive a serial device and a sharded device through an identical
-    /// randomized submit/tick/pop schedule and require bit-identical
-    /// responses at every cycle, plus byte-identical snapshots at the
-    /// optional mid-run quiesce point and at the end.
-    fn lockstep_compare(shards: usize, fault: Option<FaultPlan>, quiesce_at: Option<Cycle>) {
-        let mut serial = device();
-        let mut sharded = device();
-        if let Some(plan) = fault {
-            serial.set_fault_plan(plan).expect("valid plan");
-            sharded.set_fault_plan(plan).expect("valid plan");
-        }
-        sharded.set_parallel(shards);
-        assert_eq!(sharded.shards(), shards);
-        let mut seed = 0x5EED_0001u64 ^ shards as u64;
-        let mut next_id = 0u64;
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        for now in 0..4000u64 {
-            if now < 1200 && now % 3 == 0 {
-                let burst = pac_types::splitmix64(&mut seed) % 3 + 1;
-                for _ in 0..burst {
-                    let r = pac_types::splitmix64(&mut seed);
-                    let bytes = 64u64 << (r % 3); // 64, 128, or 256
-                    let addr = (r >> 8) % (1 << 28) / bytes * bytes;
-                    let op = if r & (1 << 40) == 0 { Op::Load } else { Op::Store };
-                    let req = HmcRequest { id: next_id, addr, bytes, op };
-                    next_id += 1;
-                    serial.submit(req, now);
-                    sharded.submit(req, now);
-                }
-            }
-            serial.tick(now);
-            sharded.tick(now);
-            out_a.clear();
-            out_b.clear();
-            serial.pop_responses(now, &mut out_a);
-            sharded.pop_responses(now, &mut out_b);
-            assert_eq!(out_a, out_b, "responses diverged at cycle {now}");
-            if quiesce_at == Some(now) {
-                sharded.quiesce_engine();
-                assert_eq!(
-                    snapshot_bytes(&serial),
-                    snapshot_bytes(&sharded),
-                    "mid-run snapshot diverged at cycle {now} ({shards} shards)"
-                );
-            }
-        }
-        let (ra, da) = serial.drain(4000);
-        let (rb, db) = sharded.drain(4000);
-        assert_eq!(ra, rb, "drained responses diverged ({shards} shards)");
-        assert_eq!(da, db, "drain cycle diverged ({shards} shards)");
-        serial.finalize_stats();
-        sharded.finalize_stats();
-        assert_eq!(serial.stats, sharded.stats);
-        assert_eq!(serial.bank_conflicts(), sharded.bank_conflicts());
-        assert_eq!(
-            snapshot_bytes(&serial),
-            snapshot_bytes(&sharded),
-            "final snapshot diverged ({shards} shards)"
-        );
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_two_shards() {
-        lockstep_compare(2, None, Some(700));
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_three_shards() {
-        // Uneven 32-vault split: 11/11/10.
-        lockstep_compare(3, None, None);
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_four_shards() {
-        lockstep_compare(4, None, Some(64));
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_under_faults() {
-        let plan = FaultPlan {
-            rate_per_1024: 64,
-            max_faults: 8,
-            ..FaultPlan::new(FaultClass::DuplicateResponse, 21)
-        };
-        lockstep_compare(2, Some(plan), Some(900));
-    }
-
-    #[test]
-    fn quiesce_is_idempotent_and_run_continues() {
-        let mut hmc = device();
-        hmc.set_parallel(4);
-        for i in 0..64 {
-            hmc.submit(read(i, i * 64, 64), 0);
-        }
-        for now in 0..40 {
-            hmc.tick(now);
-        }
-        hmc.quiesce_engine();
-        let a = snapshot_bytes(&hmc);
-        hmc.quiesce_engine();
-        assert_eq!(a, snapshot_bytes(&hmc), "quiesce must be idempotent");
-        // The run continues after a quiesce: workers stay authoritative.
-        let (rsps, _) = hmc.drain(40);
-        assert_eq!(rsps.len(), 64);
-        assert!(hmc.is_idle());
-    }
-
-    #[test]
-    fn set_parallel_toggles_back_to_serial() {
-        let mut serial = device();
-        let mut toggled = device();
-        toggled.set_parallel(3);
-        for i in 0..32 {
-            serial.submit(read(i, i * 256, 64), 0);
-            toggled.submit(read(i, i * 256, 64), 0);
-        }
-        for now in 0..30 {
-            serial.tick(now);
-            toggled.tick(now);
-        }
-        toggled.set_parallel(1);
-        assert_eq!(toggled.shards(), 1);
-        let (ra, _) = serial.drain(30);
-        let (rb, _) = toggled.drain(30);
-        assert_eq!(ra, rb);
-        assert_eq!(snapshot_bytes(&serial), snapshot_bytes(&toggled));
-    }
-
-    #[test]
-    fn enabled_tracer_forces_serial_engine() {
-        let mut hmc = device();
-        hmc.set_parallel(4);
-        hmc.set_tracer(TraceHandle::new(pac_types::TraceConfig::full()));
-        assert_eq!(hmc.shards(), 1, "tracing requires the serial engine");
-        // And arming while traced stays serial.
-        hmc.set_parallel(4);
-        assert_eq!(hmc.shards(), 1);
-    }
-
     #[test]
     fn ras_disarmed_is_bit_identical_and_arming_costs_only_latency() {
         use pac_types::{RasClass, RasPlan};
@@ -1522,17 +1183,6 @@ mod tests {
             hmc.set_ras_plan(wrong),
             Err(RasPlanError::WrongBackend { .. })
         ));
-    }
-
-    #[test]
-    fn ras_armed_forces_serial_engine() {
-        use pac_types::{RasClass, RasPlan};
-        let mut hmc = device();
-        hmc.set_parallel(4);
-        hmc.set_ras_plan(RasPlan::new(RasClass::LinkBitError, 1)).expect("valid");
-        assert_eq!(hmc.shards(), 1, "RAS requires the serial engine");
-        hmc.set_parallel(4);
-        assert_eq!(hmc.shards(), 1);
     }
 
     #[test]

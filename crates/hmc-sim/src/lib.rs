@@ -51,7 +51,6 @@
 
 pub mod device;
 pub mod energy;
-pub mod shard;
 pub mod stats;
 pub mod vault;
 

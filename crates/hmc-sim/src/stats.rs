@@ -88,8 +88,8 @@ impl HmcStats {
     }
 
     /// Fold another run's counters into this one — used to aggregate
-    /// per-shard statistics from parallel sweeps. Peak in-flight takes
-    /// the max (the shards never share a device, so summing would
+    /// per-cell statistics from parallel sweeps. Peak in-flight takes
+    /// the max (the cells never share a device, so summing would
     /// overstate concurrency); everything else is additive.
     pub fn merge(&mut self, other: &HmcStats) {
         self.requests += other.requests;

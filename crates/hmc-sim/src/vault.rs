@@ -109,10 +109,8 @@ impl Vault {
     }
 
     /// Cycles a closed-page reference of `bytes` keeps its bank busy, and
-    /// the offset at which the data becomes available. `pub(crate)` so
-    /// the shard engine can recover a reference's issue cycle from its
-    /// `data_ready` when re-serializing events into canonical order.
-    pub(crate) fn reference_timing(cfg: &HmcDeviceConfig, bytes: u64) -> (Cycle, Cycle) {
+    /// the offset at which the data becomes available.
+    fn reference_timing(cfg: &HmcDeviceConfig, bytes: u64) -> (Cycle, Cycle) {
         let access = bytes.div_ceil(32) * cfg.t_access_per_32b;
         let data_ready_off = cfg.t_activate + access;
         (data_ready_off, data_ready_off + cfg.t_precharge)

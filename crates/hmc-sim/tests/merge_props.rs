@@ -6,8 +6,7 @@
 //! exactly what makes the merged totals deterministic anyway. (They
 //! hold because every field is an integer sum, an integer max, or a
 //! bucket-wise histogram sum; `EnergyBreakdown`'s `f64` sums are *not*
-//! bit-associative, which is why the shard engine replays energy in
-//! canonical order instead of merging it.)
+//! bit-associative, which is why energy is never merged across cells.)
 
 use hmc_sim::HmcStats;
 use proptest::prelude::*;

@@ -108,7 +108,6 @@ fn main() {
         "conformance",
         if diff { "both" } else { backend.label() },
         runner.threads(),
-        pac_types::shard_count(),
         total_cells,
     );
 

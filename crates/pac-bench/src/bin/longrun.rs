@@ -196,7 +196,7 @@ fn main() {
     // unless --checkpoint names a different one.
     let ckpt_path = opts.checkpoint.clone().or_else(|| opts.resume.clone());
 
-    progress.campaign_start("longrun", opts.backend.label(), 1, pac_types::shard_count(), 1);
+    progress.campaign_start("longrun", opts.backend.label(), 1, 1);
     let config_label = format!("accesses={} cores={}", opts.accesses, sim.cores);
     let cell = CellId {
         bench: opts.bench.name(),

@@ -139,7 +139,6 @@ fn main() {
         "soak",
         cfg.backend.label(),
         runner.threads(),
-        pac_types::shard_count(),
         cfg.runs,
     );
     let config_label = format!("accesses={} cores={}", cfg.accesses_per_core, cfg.cores);

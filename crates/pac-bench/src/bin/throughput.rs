@@ -116,7 +116,6 @@ fn main() {
         "throughput",
         backend.label(),
         threads,
-        cfg.shards,
         (sweep_count * cells.len()) as u64,
     );
 

@@ -94,9 +94,9 @@ fn run() -> Result<(), BenchError> {
         args.retain(|a| a != "--quick");
         args.len() != before
     };
-    // `--threads` fans `--all` cells across workers; a traced *system*
-    // always steps its vaults serially (tracing pins sharding off), so
-    // the parallelism is purely across independent cells.
+    // `--threads` fans `--all` cells across workers; each traced system
+    // runs serially, so the parallelism is purely across independent
+    // cells.
     let runner = match threads_from_args(&args) {
         Ok(n) => ParallelRunner::new(n),
         Err(e) => {
@@ -212,7 +212,6 @@ fn run() -> Result<(), BenchError> {
                 "trace",
                 backend.label(),
                 runner.threads(),
-                pac_types::shard_count(),
                 Bench::ALL.len() as u64,
             );
             // Fan the benchmarks across the pool; outputs come back in
@@ -287,7 +286,6 @@ fn run() -> Result<(), BenchError> {
                 "trace",
                 backend.label(),
                 runner.threads(),
-                pac_types::shard_count(),
                 1,
             );
             let t = Instant::now();

@@ -130,12 +130,8 @@ fn emit_cell(
     id: &CellId<'_>,
     passed: bool,
     wall_seconds: f64,
-    shard_stats: Option<&pac_types::ShardStats>,
     cycles: u64,
 ) {
-    if let Some(stats) = shard_stats {
-        progress.shard_util(seq, stats);
-    }
     progress.cell_finish(seq, id, if passed { "pass" } else { "fail" }, wall_seconds, cycles);
 }
 
@@ -181,7 +177,6 @@ pub fn clean_matrix(
             &id,
             passed,
             t.elapsed().as_secs_f64(),
-            out.shard_stats.as_ref(),
             out.cycles,
         );
         CleanCell {
@@ -237,7 +232,6 @@ pub fn fault_matrix(
             &id,
             result.detected(),
             t.elapsed().as_secs_f64(),
-            out.shard_stats.as_ref(),
             out.cycles,
         );
         result
@@ -334,7 +328,6 @@ pub fn recovery_matrix(
             &id,
             result.passed(),
             t.elapsed().as_secs_f64(),
-            out.shard_stats.as_ref(),
             out.cycles,
         );
         result
@@ -522,7 +515,6 @@ pub fn ras_matrix(
             &id,
             result.passed(),
             t.elapsed().as_secs_f64(),
-            out.shard_stats.as_ref(),
             out.cycles,
         );
         result

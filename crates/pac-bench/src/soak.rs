@@ -227,9 +227,6 @@ impl SoakReport {
 fn build_system(cell: &SoakCell, cfg: &SoakConfig, sim: SimConfig) -> SimSystem {
     let specs = single_process(cell.bench, cfg.cores, cell.seed);
     let mut sys = SimSystem::with_options(sim, specs, cell.kind, false, false, Stepping::SkipAhead);
-    // Vault sharding is runtime policy (PAC_SHARDS), bit-identical to
-    // serial, so the soak exercises it whenever the env opts in.
-    sys.set_parallel(pac_types::shard_count());
     let mut ocfg = OracleConfig::for_sim(&sim);
     if matches!(cell.fault, Some(p) if p.class == FaultClass::DelayResponse) {
         // Delay faults need a finite latency bound to be detectable at
@@ -362,16 +359,13 @@ fn run_cell_inner(cell: SoakCell, cfg: &SoakConfig) -> RunOutcome {
             };
             drop(sys);
             let specs = single_process(cell.bench, cfg.cores, cell.seed);
-            let mut restored = match SimSystem::restore(specs, &bytes, &meta) {
+            let restored = match SimSystem::restore(specs, &bytes, &meta) {
                 Ok(s) => s,
                 Err(e) => {
                     outcome.failure = format!("{meta}: checkpoint restore failed: {e}");
                     return outcome;
                 }
             };
-            // Snapshots never carry sharding; re-arm it on the restored
-            // system so the resumed leg runs under the same policy.
-            restored.set_parallel(pac_types::shard_count());
             outcome.roundtrip_verified = true;
             match drain(restored, limit, true, cfg.accesses_per_core) {
                 Ok(leg) => leg,

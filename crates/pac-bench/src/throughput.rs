@@ -18,8 +18,7 @@
 use crate::matrix::MatrixCell;
 use crate::runner::ParallelRunner;
 use pac_obs::{CellId, ProgressSink};
-use pac_sim::{run_bench, ExperimentConfig, SimSystem, Stepping};
-use pac_workloads::multiproc::single_process;
+use pac_sim::{run_bench, ExperimentConfig, Stepping};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -62,9 +61,8 @@ fn stepping_name(s: Stepping) -> &'static str {
 }
 
 /// Run the given matrix cells serially under `stepping`, timing each,
-/// streaming per-cell progress (and shard self-metrics when intra-run
-/// sharding is armed) to `progress`. `seq_base` offsets the streamed
-/// cell sequence numbers so successive sweeps don't collide.
+/// streaming per-cell progress to `progress`. `seq_base` offsets the
+/// streamed cell sequence numbers so successive sweeps don't collide.
 ///
 /// Serial on purpose: wall-clock per cell is the quantity of interest,
 /// and co-scheduled runs would contend for the host and distort it.
@@ -91,26 +89,9 @@ pub fn sweep(
             config: &config_label,
         };
         progress.cell_start(seq, &id);
-        // Same construction as `pac_sim::run_specs`, inlined so the
-        // finished system's shard self-metrics stay reachable.
-        let specs = single_process(mc.bench, cfg.sim.cores, cfg.seed);
         let t = Instant::now();
-        let mut sys = SimSystem::with_options(
-            cfg.sim,
-            specs,
-            mc.kind,
-            cfg.capture_trace,
-            cfg.trace_occupancy,
-            cfg.stepping,
-        );
-        sys.set_parallel(cfg.shards);
-        let m = sys.run(cfg.accesses_per_core);
+        let (m, _) = run_bench(mc.bench, mc.kind, &cfg);
         let wall = t.elapsed().as_secs_f64();
-        if progress.is_enabled() {
-            if let Some(s) = sys.shard_stats() {
-                progress.shard_util(seq, &s);
-            }
-        }
         progress.cell_finish(seq, &id, "pass", wall, m.runtime_cycles);
         cells.push(Cell {
             bench: mc.bench.name(),
@@ -373,12 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_streams_cells_and_shard_metrics() {
-        // Sharding armed: the sweep must stream cell_start/cell_finish
-        // per cell plus nonzero shard self-metrics, while the measured
-        // cycles stay bit-identical to the unobserved serial run.
-        let cfg =
-            ExperimentConfig { accesses_per_core: 400, shards: 4, ..Default::default() };
+    fn sweep_streams_cell_events() {
+        // The sweep must stream cell_start/cell_finish per cell, while
+        // the measured cycles stay bit-identical to the unobserved run.
+        let cfg = ExperimentConfig { accesses_per_core: 400, ..Default::default() };
         let matrix = gs_row();
         let plain = sweep(&matrix, &cfg, Stepping::SkipAhead, &ProgressSink::disabled(), 0);
         let (sink, buf) = ProgressSink::to_buffer();
@@ -392,9 +371,6 @@ mod tests {
         };
         assert_eq!(count("cell_start"), matrix.len());
         assert_eq!(count("cell_finish"), matrix.len());
-        assert_eq!(count("shard_util"), matrix.len());
-        assert!(text.contains("\"shards\":4"));
-        assert!(text.contains("\"sync_round_trips\""));
     }
 
     #[test]

@@ -386,22 +386,17 @@ pub fn throughput_guard(
         sys.set_trace_config(TraceConfig::off());
         let m_obs = sys.run(cfg.accesses_per_core);
         let stalls = sys.stall_cycles();
-        let shard = sys.shard_stats();
         // Metrics payloads are only built for enabled sinks; the branch
         // itself is part of what the guard measures.
         if progress.is_enabled() {
             progress.metrics(i, &id, &stage_registry(&sys));
-            if let Some(s) = &shard {
-                progress.shard_util(i, s);
-            }
         }
         let cell_wall = t.elapsed().as_secs_f64();
         progress.cell_finish(i, &id, "pass", cell_wall, m_obs.runtime_cycles);
         obs_seconds += cell_wall;
         // The accessors are pure reads; fold them into the mismatch
         // check so the optimizer cannot discard the polls.
-        let polls_consistent = stalls.map_or(0, |s| s.total()) < u64::MAX
-            && shard.map_or(0, |s| s.shards) < usize::MAX;
+        let polls_consistent = stalls.map_or(0, |s| s.total()) < u64::MAX;
 
         baseline_seconds += cell.wall_seconds;
         if m != m_off {

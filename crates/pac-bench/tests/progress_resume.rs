@@ -4,7 +4,7 @@
 //! and (2) leave a progress stream whose two segments tell the whole
 //! story — checkpoint and resume markers, exactly one finished cell —
 //! and which the report aggregator ingests without errors. Self-metric
-//! state (shard/runner stats) is never checkpointed, so the resumed
+//! state (runner stats) is never checkpointed, so the resumed
 //! segment starts clean instead of double-counting.
 
 use pac_obs::CampaignReport;

@@ -22,8 +22,7 @@
 //! effect of an issue is a pure function of the controller state, and
 //! [`PseudoChannel::next_head_start`] computes the head's exact issue
 //! cycle from the same terms as [`PseudoChannel::tick`] — the property
-//! the skip-ahead stepper and the shard engine's canonical
-//! re-serialization both rest on.
+//! the skip-ahead stepper rests on.
 
 use hmc_sim::vault::{Bank, QueuedRequest, ReadyResponse};
 use hmc_sim::{EnergyBreakdown, EnergyClass};
@@ -65,9 +64,8 @@ pub struct PseudoChannel {
     /// before `front + t_faw` once the window is full.
     act_window: VecDeque<Cycle>,
     /// Cumulative per-cause issue-stall cycles (see [`StallCycles`]).
-    /// A pure function of the issue schedule, so serial and sharded
-    /// stepping account identically and the lockstep snapshot
-    /// comparison holds.
+    /// A pure function of the issue schedule, so every-cycle and
+    /// skip-ahead stepping account identically.
     stalls: StallCycles,
 }
 
@@ -118,7 +116,7 @@ impl PseudoChannel {
 
     /// Cycles a closed-page reference of `bytes` keeps its bank busy,
     /// and the offset at which the data becomes available.
-    pub(crate) fn reference_timing(cfg: &HbmDeviceConfig, bytes: u64) -> (Cycle, Cycle) {
+    fn reference_timing(cfg: &HbmDeviceConfig, bytes: u64) -> (Cycle, Cycle) {
         let access = bytes.div_ceil(32) * cfg.t_access_per_32b;
         let data_ready_off = cfg.t_activate + access;
         (data_ready_off, data_ready_off + cfg.t_precharge)
@@ -159,8 +157,7 @@ impl PseudoChannel {
     /// Issue every head request that can start by `now`. Completed DRAM
     /// accesses are appended to `out`; energy and conflict accounting
     /// is charged as references issue, in the same four-charge order as
-    /// the vault model so the shard engine's canonical replay is
-    /// bit-identical.
+    /// the vault model.
     pub fn tick(
         &mut self,
         now: Cycle,

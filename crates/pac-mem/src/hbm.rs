@@ -13,12 +13,11 @@
 //!
 //! The device reuses the HMC packet vocabulary ([`HmcRequest`] /
 //! [`HmcResponse`]), statistics, energy taxonomy, fault-injection
-//! semantics, snapshot encoding discipline, and shard-engine design —
-//! which is precisely what lets the differential conformance suite
-//! drive both backends with one harness.
+//! semantics, and snapshot encoding discipline — which is precisely
+//! what lets the differential conformance suite drive both backends
+//! with one harness.
 
 use crate::channel::PseudoChannel;
-use crate::shard::ChannelShardEngine;
 use hmc_sim::vault::{QueuedRequest, ReadyResponse};
 use hmc_sim::{EnergyBreakdown, EnergyClass, HmcRequest, HmcResponse, HmcStats};
 use pac_trace::{DumpTrigger, EventKind, TraceHandle};
@@ -130,16 +129,10 @@ pub struct Hbm {
     pub energy: EnergyBreakdown,
     /// Structured-event tracer (disabled by default; zero-cost off).
     tracer: TraceHandle,
-    /// Parallel channel-shard engine, when armed via
-    /// [`Hbm::set_parallel`]. Same contract as the HMC's: `None` is
-    /// serial; armed, the workers own the authoritative channel state
-    /// until a quiesce collects it back.
-    engine: Option<ChannelShardEngine>,
 }
 
 // Same skip discipline as the HMC device: `scratch` is empty between
-// ticks, the tracer is re-attached after restore, and the shard engine
-// is a runtime policy (a restored device starts serial).
+// ticks and the tracer is re-attached after restore.
 pac_types::snapshot_fields!(Hbm {
     cfg,
     req_bus_busy,
@@ -161,7 +154,6 @@ pac_types::snapshot_fields!(Hbm {
 } skip {
     scratch: Vec::new(),
     tracer: TraceHandle::disabled(),
-    engine: None,
 });
 
 impl Hbm {
@@ -185,73 +177,13 @@ impl Hbm {
             stats: HmcStats::default(),
             energy: EnergyBreakdown::new(),
             tracer: TraceHandle::disabled(),
-            engine: None,
             cfg,
         }
     }
 
-    /// Attach a structured-event tracer. Enabled tracing needs
-    /// exact-cycle channel-service emits, so it forces the serial
-    /// engine (after a quiesce).
+    /// Attach a structured-event tracer.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        if tracer.is_enabled() && self.engine.is_some() {
-            self.quiesce_engine();
-            self.engine = None;
-        }
         self.tracer = tracer;
-    }
-
-    /// Arm (`shards > 1`) or disarm (`shards <= 1`) the parallel
-    /// channel shard engine. Identical contract to `Hmc::set_parallel`:
-    /// a runtime policy, bit-identical at every shard count. No-ops
-    /// back to serial when an enabled tracer or a RAS plan is armed.
-    pub fn set_parallel(&mut self, shards: usize) {
-        self.quiesce_engine();
-        self.engine = None;
-        if shards > 1 && !self.tracer.is_enabled() && self.ras.is_none() {
-            self.engine = Some(ChannelShardEngine::new(&self.cfg, &self.channels, shards));
-        }
-    }
-
-    /// Number of channel shards the device currently runs (1 = serial).
-    pub fn shards(&self) -> usize {
-        self.engine.as_ref().map_or(1, |e| e.shards())
-    }
-
-    /// Synchronize the shard engine with the device and collect the
-    /// authoritative channel state back, rebuilding the serial issue
-    /// caches. Afterwards the whole `Hbm` is byte-identical to a serial
-    /// device that ran the same history. No-op without an engine.
-    pub fn quiesce_engine(&mut self) {
-        let Some(mut engine) = self.engine.take() else { return };
-        let (events, channels) = engine.quiesce();
-        self.integrate_events(events);
-        self.channels = channels;
-        let mut min = u64::MAX;
-        for idx in 0..self.channels.len() {
-            match self.channels[idx].next_head_start(&self.cfg, 0) {
-                Some(c) => {
-                    self.chan_next[idx] = c;
-                    self.active[idx / 64] |= 1 << (idx % 64);
-                    min = min.min(c);
-                }
-                None => {
-                    self.chan_next[idx] = u64::MAX;
-                    self.active[idx / 64] &= !(1u64 << (idx % 64));
-                }
-            }
-        }
-        self.chan_next_min = min;
-        self.engine = Some(engine);
-    }
-
-    /// [`Self::quiesce_engine`] pinned to a between-ticks boundary
-    /// (same argument as `Hmc::quiesce_engine_at`).
-    pub fn quiesce_engine_at(&mut self, boundary: Cycle) {
-        if let Some(e) = &mut self.engine {
-            e.note_tick(boundary.saturating_sub(1));
-        }
-        self.quiesce_engine();
     }
 
     /// Device configuration.
@@ -282,13 +214,8 @@ impl Hbm {
     /// refresh, and bank sparing past a correctable-error threshold.
     /// The plan is validated against this device (ECC/scrub classes
     /// only), so a plan that could never fire is an error at arm time.
-    /// Arming tears down the shard engine — the RAS state machine, like
-    /// tracing, runs on the serial engine — and subsequent
-    /// [`Hbm::set_parallel`] calls no-op back to serial.
     pub fn set_ras_plan(&mut self, plan: RasPlan) -> Result<(), RasPlanError> {
         let plan = plan.validate_for(pac_types::BackendKind::Hbm, self.cfg.channels)?;
-        self.quiesce_engine();
-        self.engine = None;
         let flat = (self.cfg.channels * self.cfg.banks_per_channel()) as usize;
         self.ras = Some(MemRas::new(plan, flat));
         Ok(())
@@ -388,80 +315,23 @@ impl Hbm {
             link: channel,
             remote: false,
         };
-        if let Some(engine) = &mut self.engine {
-            // Delayed delivery: the arrival is at least one bus
-            // transfer + controller traversal in the future.
-            engine.deliver(channel as usize, queued);
-        } else {
-            self.active[channel as usize / 64] |= 1 << (channel % 64);
-            let ch = &mut self.channels[channel as usize];
-            let was_idle = ch.is_idle();
-            ch.enqueue(queued);
-            if was_idle {
-                let start = ch.next_head_start(&self.cfg, now).expect("just enqueued");
-                self.chan_next[channel as usize] = start;
-                self.chan_next_min = self.chan_next_min.min(start);
-            }
+        self.active[channel as usize / 64] |= 1 << (channel % 64);
+        let ch = &mut self.channels[channel as usize];
+        let was_idle = ch.is_idle();
+        ch.enqueue(queued);
+        if was_idle {
+            let start = ch.next_head_start(&self.cfg, now).expect("just enqueued");
+            self.chan_next[channel as usize] = start;
+            self.chan_next_min = self.chan_next_min.min(start);
         }
         self.inflight += 1;
         self.stats.peak_inflight = self.stats.peak_inflight.max(self.inflight as u64);
-    }
-
-    /// Earliest possible gap between a reference's issue and its data.
-    fn min_ready_offset(&self) -> Cycle {
-        self.cfg.t_activate + self.cfg.t_access_per_32b
-    }
-
-    /// Fold a batch of shard-produced events into the response path in
-    /// canonical `(start, channel)` order, replaying the per-issue
-    /// energy charges — the same bit-identical re-serialization
-    /// argument as `Hmc::integrate_events`.
-    fn integrate_events(&mut self, mut events: Vec<ReadyResponse>) {
-        let cfg = self.cfg;
-        let start_of =
-            |r: &ReadyResponse| r.data_ready - PseudoChannel::reference_timing(&cfg, r.req.bytes).0;
-        events.sort_unstable_by_key(|r| (start_of(r), r.req.link));
-        for r in events {
-            let start = start_of(&r);
-            self.energy.add(EnergyClass::VaultCtrl, 1, cfg.e_ctrl);
-            self.energy.add(EnergyClass::BankActPre, 1, cfg.e_bank_act_pre);
-            self.energy.add(EnergyClass::BankAccess, r.req.bytes.div_ceil(32), cfg.e_bank_access_32b);
-            self.energy.add(EnergyClass::VaultRqstSlot, start - r.req.arrival + 1, cfg.e_rqst_slot);
-            let key = self.pending_seq;
-            self.pending_seq += 1;
-            self.pending_rsp.push(Reverse((r.data_ready, key)));
-            self.pending_store.insert(key, r);
-        }
-    }
-
-    /// Engine-mode channel phase of [`Hbm::tick`]: synchronize with the
-    /// shards only when a deferred reference's data could be due.
-    fn tick_engine(&mut self, now: Cycle) {
-        let mut engine = self.engine.take().expect("engine mode");
-        engine.note_tick(now);
-        if engine.lb().saturating_add(self.min_ready_offset()) <= now {
-            let events = engine.advance(now);
-            self.integrate_events(events);
-        }
-        self.engine = Some(engine);
     }
 
     /// Advance the device to cycle `now`: issue DRAM references in
     /// every channel and route finished responses back over the buses.
     pub fn tick(&mut self, now: Cycle) {
         if self.inflight == 0 {
-            return;
-        }
-        if self.engine.is_some() {
-            self.tick_engine(now);
-            while let Some(&Reverse((data_ready, key))) = self.pending_rsp.peek() {
-                if data_ready > now {
-                    break;
-                }
-                self.pending_rsp.pop();
-                let r = self.pending_store.remove(&key).expect("pending response");
-                self.schedule_response(r);
-            }
             return;
         }
         let mut ready = std::mem::take(&mut self.scratch);
@@ -643,12 +513,7 @@ impl Hbm {
         if let Some(&Reverse((data_ready, _))) = self.pending_rsp.peek() {
             best = best.min(data_ready.max(now));
         }
-        match &self.engine {
-            Some(e) => {
-                best = best.min(e.lb().saturating_add(self.min_ready_offset()).max(now));
-            }
-            None => best = best.min(self.chan_next_min.max(now)),
-        }
+        best = best.min(self.chan_next_min.max(now));
         (best != u64::MAX).then_some(best)
     }
 
@@ -690,14 +555,12 @@ impl Hbm {
         (out, now)
     }
 
-    /// Total bank conflicts across all channels (current at quiesced
-    /// boundaries).
+    /// Total bank conflicts across all channels.
     pub fn bank_conflicts(&self) -> u64 {
         self.channels.iter().map(|c| c.conflicts()).sum()
     }
 
-    /// Cumulative per-cause issue-stall cycles summed across channels
-    /// (current at quiesced boundaries, like `bank_conflicts`).
+    /// Cumulative per-cause issue-stall cycles summed across channels.
     pub fn stall_cycles(&self) -> pac_types::StallCycles {
         let mut total = pac_types::StallCycles::default();
         for c in &self.channels {
@@ -706,15 +569,8 @@ impl Hbm {
         total
     }
 
-    /// Harness self-metrics from the shard engine, when one is armed.
-    pub fn shard_stats(&self) -> Option<pac_types::ShardStats> {
-        self.engine.as_ref().map(|e| e.stats().clone())
-    }
-
-    /// Synchronize the conflict counter into `stats`, quiescing the
-    /// shard engine first.
+    /// Synchronize the conflict counter into `stats`.
     pub fn finalize_stats(&mut self) {
-        self.quiesce_engine();
         self.stats.bank_conflicts = self.bank_conflicts();
     }
 }
@@ -771,20 +627,8 @@ impl crate::MemoryBackend for Hbm {
     fn set_tracer(&mut self, tracer: TraceHandle) {
         Hbm::set_tracer(self, tracer);
     }
-    fn set_parallel(&mut self, shards: usize) {
-        Hbm::set_parallel(self, shards);
-    }
-    fn shards(&self) -> usize {
-        Hbm::shards(self)
-    }
     fn stall_cycles(&self) -> Option<pac_types::StallCycles> {
         Some(Hbm::stall_cycles(self))
-    }
-    fn shard_stats(&self) -> Option<pac_types::ShardStats> {
-        Hbm::shard_stats(self)
-    }
-    fn quiesce_engine_at(&mut self, boundary: Cycle) {
-        Hbm::quiesce_engine_at(self, boundary);
     }
     fn save_state(&self, w: &mut pac_types::SnapWriter) {
         pac_types::Snapshot::save(self, w);
@@ -983,107 +827,6 @@ mod tests {
         w.into_bytes()
     }
 
-    /// The HBM twin of the HMC's shard-vs-serial lockstep harness:
-    /// identical randomized schedule, bit-identical responses at every
-    /// cycle, byte-identical snapshots at the quiesce point and at the
-    /// end.
-    fn lockstep_compare(shards: usize, fault: Option<FaultPlan>, quiesce_at: Option<Cycle>) {
-        let mut serial = device();
-        let mut sharded = device();
-        if let Some(plan) = fault {
-            serial.set_fault_plan(plan).expect("valid plan");
-            sharded.set_fault_plan(plan).expect("valid plan");
-        }
-        sharded.set_parallel(shards);
-        assert_eq!(sharded.shards(), shards);
-        let mut seed = 0x5EED_0002u64 ^ shards as u64;
-        let mut next_id = 0u64;
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        for now in 0..4000u64 {
-            if now < 1200 && now % 3 == 0 {
-                let burst = pac_types::splitmix64(&mut seed) % 3 + 1;
-                for _ in 0..burst {
-                    let r = pac_types::splitmix64(&mut seed);
-                    let bytes = 128u64 << (r % 4); // 128..1024
-                    let addr = (r >> 8) % (1 << 28) / bytes * bytes;
-                    let op = if r & (1 << 40) == 0 { Op::Load } else { Op::Store };
-                    let req = HmcRequest { id: next_id, addr, bytes, op };
-                    next_id += 1;
-                    serial.submit(req, now);
-                    sharded.submit(req, now);
-                }
-            }
-            serial.tick(now);
-            sharded.tick(now);
-            out_a.clear();
-            out_b.clear();
-            serial.pop_responses(now, &mut out_a);
-            sharded.pop_responses(now, &mut out_b);
-            assert_eq!(out_a, out_b, "responses diverged at cycle {now}");
-            if quiesce_at == Some(now) {
-                sharded.quiesce_engine();
-                assert_eq!(
-                    snapshot_bytes(&serial),
-                    snapshot_bytes(&sharded),
-                    "mid-run snapshot diverged at cycle {now} ({shards} shards)"
-                );
-            }
-        }
-        let (ra, da) = serial.drain(4000);
-        let (rb, db) = sharded.drain(4000);
-        assert_eq!(ra, rb, "drained responses diverged ({shards} shards)");
-        assert_eq!(da, db, "drain cycle diverged ({shards} shards)");
-        serial.finalize_stats();
-        sharded.finalize_stats();
-        assert_eq!(serial.stats, sharded.stats);
-        assert_eq!(
-            snapshot_bytes(&serial),
-            snapshot_bytes(&sharded),
-            "final snapshot diverged ({shards} shards)"
-        );
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_two_shards() {
-        lockstep_compare(2, None, Some(700));
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_three_shards() {
-        // Uneven 8-channel split: 3/3/2.
-        lockstep_compare(3, None, None);
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_under_faults() {
-        let plan = FaultPlan {
-            rate_per_1024: 64,
-            max_faults: 8,
-            ..FaultPlan::new(FaultClass::DuplicateResponse, 21)
-        };
-        lockstep_compare(2, Some(plan), Some(900));
-    }
-
-    #[test]
-    fn quiesce_is_idempotent_and_run_continues() {
-        let mut hbm = device();
-        hbm.set_parallel(4);
-        for i in 0..64 {
-            hbm.submit(read(i, i * 1024, 64), 0);
-        }
-        for now in 0..40 {
-            hbm.tick(now);
-        }
-        hbm.quiesce_engine();
-        let a = snapshot_bytes(&hbm);
-        hbm.quiesce_engine();
-        assert_eq!(a, snapshot_bytes(&hbm), "quiesce must be idempotent");
-        let (rsps, _) = hbm.drain(40);
-        assert_eq!(rsps.len(), 64);
-        assert!(hbm.is_idle());
-    }
-
     #[test]
     fn snapshot_restore_continues_bit_identically() {
         use pac_types::{SnapReader, Snapshot};
@@ -1205,18 +948,14 @@ mod tests {
     }
 
     #[test]
-    fn ras_plan_validated_against_backend_and_forces_serial() {
+    fn ras_plan_validated_against_backend() {
         use pac_types::{RasClass, RasPlan, RasPlanError};
         let mut hbm = device();
         assert!(matches!(
             hbm.set_ras_plan(RasPlan::new(RasClass::LinkBitError, 1)),
             Err(RasPlanError::WrongBackend { .. })
         ));
-        hbm.set_parallel(4);
         hbm.set_ras_plan(RasPlan::new(RasClass::EccSingle, 1)).expect("valid");
-        assert_eq!(hbm.shards(), 1, "RAS requires the serial engine");
-        hbm.set_parallel(4);
-        assert_eq!(hbm.shards(), 1);
     }
 
     #[test]

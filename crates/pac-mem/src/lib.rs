@@ -23,7 +23,6 @@
 
 pub mod channel;
 pub mod hbm;
-mod shard;
 
 pub use hbm::Hbm;
 
@@ -31,8 +30,8 @@ use hmc_sim::{EnergyBreakdown, Hmc, HmcRequest, HmcResponse, HmcStats};
 use pac_trace::TraceHandle;
 use pac_types::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use pac_types::{
-    BackendKind, Cycle, FaultPlan, FaultPlanError, RasPlan, RasPlanError, RasStats, ShardStats,
-    SimConfig, StallCycles,
+    BackendKind, Cycle, FaultPlan, FaultPlanError, RasPlan, RasPlanError, RasStats, SimConfig,
+    StallCycles,
 };
 
 /// The cycle-level device surface the simulator core is generic over.
@@ -46,13 +45,10 @@ use pac_types::{
 ///   [`tick`](Self::tick)/[`pop_responses`](Self::pop_responses) could
 ///   make progress; waking early must be a harmless no-op.
 /// * **Determinism** — behavior is a pure function of the submitted
-///   request sequence; [`set_parallel`](Self::set_parallel) is a
-///   runtime policy that must not change any observable output.
-/// * **Snapshot fidelity** — [`save_state`](Self::save_state) at a
-///   quiesced boundary must capture everything needed for a restored
-///   device to continue bit-identically
-///   ([`quiesce_engine_at`](Self::quiesce_engine_at) establishes that
-///   boundary when a shard engine is armed).
+///   request sequence.
+/// * **Snapshot fidelity** — [`save_state`](Self::save_state) between
+///   ticks must capture everything needed for a restored device to
+///   continue bit-identically.
 /// * **Conservation** — every submitted request eventually yields
 ///   exactly one response (unless a fault plan deliberately breaks
 ///   this), and [`is_idle`](Self::is_idle) goes true once it has.
@@ -93,12 +89,10 @@ pub trait MemoryBackend: std::fmt::Debug {
     /// Event-based energy breakdown.
     fn energy(&self) -> &EnergyBreakdown;
 
-    /// Total bank conflicts. Only current at a quiesced boundary when a
-    /// shard engine is armed (callers quiesce or finalize first).
+    /// Total bank conflicts.
     fn bank_conflicts(&self) -> u64;
 
-    /// Fold end-of-run counters (bank conflicts) into `stats`,
-    /// quiescing any shard engine first.
+    /// Fold end-of-run counters (bank conflicts) into `stats`.
     fn finalize_stats(&mut self);
 
     /// Arm deterministic response-path fault injection. The plan is
@@ -112,43 +106,23 @@ pub trait MemoryBackend: std::fmt::Debug {
     /// Arm the backend's hardware RAS layer (link CRC/retry/degrade on
     /// the HMC, ECC/scrub/sparing on the HBM). The plan is validated
     /// against *this* backend — arming a class the other substrate
-    /// models is a [`RasPlanError::WrongBackend`]. Arming forces the
-    /// serial engine, like tracing; a disarmed device is bit-identical
-    /// to one without the RAS layer at all.
+    /// models is a [`RasPlanError::WrongBackend`]. A disarmed device is
+    /// bit-identical to one without the RAS layer at all.
     fn set_ras_plan(&mut self, plan: RasPlan) -> Result<(), RasPlanError>;
 
     /// Cumulative RAS event counters, when a plan is armed.
     fn ras_stats(&self) -> Option<RasStats>;
 
-    /// Attach a structured-event tracer (an enabled tracer forces the
-    /// serial engine).
+    /// Attach a structured-event tracer.
     fn set_tracer(&mut self, tracer: TraceHandle);
-
-    /// Arm (`shards > 1`) or disarm the intra-run shard engine.
-    fn set_parallel(&mut self, shards: usize);
-
-    /// Shards currently running (1 = serial).
-    fn shards(&self) -> usize;
 
     /// Per-cause issue-stall cycle accounting, for backends that model
     /// named timing rules (`None` where the concept does not apply —
     /// the HMC's closed-page vault model attributes conflicts but not
-    /// per-rule stall cycles). Only current at a quiesced boundary,
-    /// like [`bank_conflicts`](Self::bank_conflicts).
+    /// per-rule stall cycles).
     fn stall_cycles(&self) -> Option<StallCycles> {
         None
     }
-
-    /// Harness self-metrics from the intra-run shard engine, when one
-    /// is armed (`None` when serial). Purely observational; reset
-    /// whenever the engine is rebuilt (re-arm, restore).
-    fn shard_stats(&self) -> Option<ShardStats> {
-        None
-    }
-
-    /// Quiesce the shard engine to a between-ticks boundary so the
-    /// device state reads true for snapshots (no-op when serial).
-    fn quiesce_engine_at(&mut self, boundary: Cycle);
 
     /// Serialize the device state (the [`Snapshot`] encoding of the
     /// concrete type; [`load_backend`] dispatches on the configured
@@ -220,18 +194,6 @@ impl MemoryBackend for Hmc {
     fn set_tracer(&mut self, tracer: TraceHandle) {
         Hmc::set_tracer(self, tracer);
     }
-    fn set_parallel(&mut self, shards: usize) {
-        Hmc::set_parallel(self, shards);
-    }
-    fn shards(&self) -> usize {
-        Hmc::shards(self)
-    }
-    fn shard_stats(&self) -> Option<ShardStats> {
-        Hmc::shard_stats(self)
-    }
-    fn quiesce_engine_at(&mut self, boundary: Cycle) {
-        Hmc::quiesce_engine_at(self, boundary);
-    }
     fn save_state(&self, w: &mut SnapWriter) {
         Snapshot::save(self, w);
     }
@@ -287,7 +249,6 @@ mod tests {
             for now in 0..50 {
                 dev.tick(now);
             }
-            dev.quiesce_engine_at(50);
             let mut w = SnapWriter::new();
             dev.save_state(&mut w);
             let bytes = w.into_bytes();

@@ -4,13 +4,13 @@
 //!
 //! 1. **Harness self-metrics** — the structural types live in
 //!    `pac_types::obs` ([`pac_types::RunnerStats`],
-//!    [`pac_types::ShardStats`], [`pac_types::StallCycles`]) so the
+//!    [`pac_types::StallCycles`]) so the
 //!    simulation crates can accumulate them without depending on this
 //!    crate; this crate gives them a wire format and an aggregator.
 //! 2. **Live progress stream** — [`ProgressSink`] emits a versioned
 //!    JSONL event stream (`--progress <path|->` on every harness
 //!    binary): cell lifecycle, exact histogram snapshots, worker
-//!    utilization, shard imbalance, checkpoint/resume markers, ETA.
+//!    utilization, checkpoint/resume markers, ETA.
 //!    The sink mirrors the `TraceHandle` idiom: a disabled sink is an
 //!    `Option::None` behind one predictable branch, and event payloads
 //!    are never formatted on the disabled path.

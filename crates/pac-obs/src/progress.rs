@@ -18,12 +18,11 @@
 //!
 //! | `ev`             | payload                                              |
 //! |------------------|------------------------------------------------------|
-//! | `campaign_start` | `bin`, `backend`, `threads`, `shards`, `total`       |
+//! | `campaign_start` | `bin`, `backend`, `threads`, `total`                 |
 //! | `cell_start`     | `seq`, `bench`, `kind`, `backend`, `config`          |
 //! | `cell_finish`    | cell id + `status`, `wall_seconds`, `simulated_cycles`, `done`, `total`, `elapsed_seconds`, `eta_seconds` (null until computable) |
 //! | `metrics`        | cell id + `hists`: name → exact histogram parts      |
 //! | `worker_util`    | `wall_seconds`, `utilization`, `workers[]`           |
-//! | `shard_util`     | `seq`, `shards`, `sync_round_trips`, `deliveries`, `lookahead_stall_cycles`, `imbalance`, `events_per_shard[]` |
 //! | `phase`          | `name`, `seconds`                                    |
 //! | `checkpoint`     | `cycle`, `path`                                      |
 //! | `resumed`        | `cycle`, `path`                                      |
@@ -38,7 +37,7 @@
 
 use crate::json::escape;
 use pac_trace::MetricsRegistry;
-use pac_types::{RunnerStats, ShardStats};
+use pac_types::RunnerStats;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -186,19 +185,12 @@ impl ProgressSink {
     /// fan-out. `total` is the number of cells expected (0 = unknown);
     /// it seeds the ETA in later [`cell_finish`](Self::cell_finish)
     /// events.
-    pub fn campaign_start(
-        &self,
-        bin: &str,
-        backend: &str,
-        threads: usize,
-        shards: usize,
-        total: u64,
-    ) {
+    pub fn campaign_start(&self, bin: &str, backend: &str, threads: usize, total: u64) {
         self.emit(|inner| {
             inner.total = total;
             format!(
                 "\"ev\":\"campaign_start\",\"bin\":\"{}\",\"backend\":\"{}\",\
-                 \"threads\":{threads},\"shards\":{shards},\"total\":{total}",
+                 \"threads\":{threads},\"total\":{total}",
                 escape(bin),
                 escape(backend)
             )
@@ -294,26 +286,6 @@ impl ProgressSink {
                 num(stats.wall_seconds),
                 num(stats.utilization()),
                 workers.join(",")
-            )
-        });
-    }
-
-    /// Intra-run shard-engine self-metrics for one cell.
-    pub fn shard_util(&self, seq: usize, stats: &ShardStats) {
-        self.emit(|_| {
-            let per: Vec<String> =
-                stats.events_per_shard.iter().map(|n| n.to_string()).collect();
-            format!(
-                "\"ev\":\"shard_util\",\"seq\":{seq},\"shards\":{},\
-                 \"sync_round_trips\":{},\"deliveries\":{},\
-                 \"lookahead_stall_cycles\":{},\"imbalance\":{},\
-                 \"events_per_shard\":[{}]",
-                stats.shards,
-                stats.sync_round_trips,
-                stats.deliveries,
-                stats.lookahead_stall_cycles,
-                num(stats.imbalance()),
-                per.join(",")
             )
         });
     }
@@ -448,7 +420,7 @@ mod tests {
     fn disabled_sink_is_inert() {
         let sink = ProgressSink::disabled();
         assert!(!sink.is_enabled());
-        sink.campaign_start("t", "hmc", 1, 1, 5);
+        sink.campaign_start("t", "hmc", 1, 5);
         sink.cell_finish(
             0,
             &CellId { bench: "EP", kind: "pac", backend: "hmc", config: "" },
@@ -464,7 +436,7 @@ mod tests {
     fn every_event_is_versioned_json() {
         let (sink, buf) = ProgressSink::to_buffer();
         let id = CellId { bench: "EP", kind: "pac", backend: "hbm", config: "accesses=400" };
-        sink.campaign_start("conformance", "hbm", 4, 1, 2);
+        sink.campaign_start("conformance", "hbm", 4, 2);
         sink.cell_start(0, &id);
         let mut reg = MetricsRegistry::new();
         let mut h = LatencyHistogram::new();
@@ -481,21 +453,13 @@ mod tests {
                 idle_seconds: 0.1,
             }],
         });
-        let shard = pac_types::ShardStats {
-            shards: 4,
-            sync_round_trips: 7,
-            deliveries: 3,
-            lookahead_stall_cycles: 11,
-            events_per_shard: vec![1, 2, 3, 4],
-        };
-        sink.shard_util(0, &shard);
         sink.phase("sweep", 0.5);
         sink.checkpoint(1000, "ck.pacsnap");
         sink.resumed(1000, "ck.pacsnap");
         sink.campaign_end();
 
         let events = lines(&buf);
-        assert_eq!(events.len(), 10);
+        assert_eq!(events.len(), 9);
         for ev in &events {
             assert_eq!(ev.get("v").and_then(Json::as_u64), Some(1), "{ev:?}");
             assert!(ev.get("ev").and_then(Json::as_str).is_some(), "{ev:?}");
@@ -507,15 +471,15 @@ mod tests {
         assert_eq!(finish.get("simulated_cycles").and_then(Json::as_u64), Some(123_456));
         // One of two cells done: the ETA is a number.
         assert!(finish.get("eta_seconds").and_then(Json::as_f64).is_some());
-        let su = &events[5];
-        assert_eq!(su.get("sync_round_trips").and_then(Json::as_u64), Some(7));
-        assert_eq!(su.get("events_per_shard").and_then(Json::as_arr).unwrap().len(), 4);
+        let wu = &events[4];
+        assert_eq!(wu.get("ev").and_then(Json::as_str), Some("worker_util"));
+        assert_eq!(wu.get("workers").and_then(Json::as_arr).unwrap().len(), 1);
     }
 
     #[test]
     fn supervision_events_are_versioned_json() {
         let (sink, buf) = ProgressSink::to_buffer();
-        sink.campaign_start("pac-serve", "hmc", 2, 1, 3);
+        sink.campaign_start("pac-serve", "hmc", 2, 3);
         sink.cell_retry(1, 2, 250, "oracle violation(s)");
         sink.cell_quarantined(1, 3, "oracle violation(s)");
         sink.supervisor(&pac_types::SupervisorStats {
@@ -544,7 +508,7 @@ mod tests {
     fn eta_is_null_when_total_unknown() {
         let (sink, buf) = ProgressSink::to_buffer();
         let id = CellId { bench: "EP", kind: "raw", backend: "hmc", config: "" };
-        sink.campaign_start("soak", "hmc", 1, 1, 0);
+        sink.campaign_start("soak", "hmc", 1, 0);
         sink.cell_finish(0, &id, "pass", 0.1, 10);
         let events = lines(&buf);
         assert_eq!(events[1].get("eta_seconds"), Some(&Json::Null));
@@ -565,7 +529,7 @@ mod tests {
     fn clone_shares_the_done_counter() {
         let (sink, buf) = ProgressSink::to_buffer();
         let id = CellId { bench: "EP", kind: "pac", backend: "hmc", config: "" };
-        sink.campaign_start("t", "hmc", 2, 1, 2);
+        sink.campaign_start("t", "hmc", 2, 2);
         let c = sink.clone();
         c.cell_finish(0, &id, "pass", 0.1, 1);
         sink.cell_finish(1, &id, "pass", 0.1, 1);

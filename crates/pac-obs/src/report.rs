@@ -15,7 +15,7 @@
 
 use crate::json::{escape, Json};
 use pac_trace::{LatencyHistogram, MetricsRegistry};
-use pac_types::{RunnerStats, ShardStats, WorkerStats};
+use pac_types::{RunnerStats, WorkerStats};
 use std::fmt::Write as _;
 
 /// The grouping tuple for SLO aggregation.
@@ -52,7 +52,6 @@ pub struct GroupStats {
 pub struct CampaignReport {
     groups: Vec<(GroupKey, GroupStats)>,
     worker: Option<RunnerStats>,
-    shard: Option<ShardStats>,
     phases: Vec<(String, f64)>,
     segments: u64,
     checkpoints: u64,
@@ -105,7 +104,6 @@ impl CampaignReport {
             "cell_finish" => self.on_cell_finish(&ev)?,
             "metrics" => self.on_metrics(&ev)?,
             "worker_util" => self.on_worker_util(&ev)?,
-            "shard_util" => self.on_shard_util(&ev)?,
             "phase" => self.on_phase(&ev)?,
             "checkpoint" => self.checkpoints += 1,
             "resumed" => self.resumes += 1,
@@ -212,32 +210,6 @@ impl CampaignReport {
         Ok(())
     }
 
-    fn on_shard_util(&mut self, ev: &Json) -> Result<(), String> {
-        let u = |name: &str| {
-            ev.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("shard_util missing {name}"))
-        };
-        let stats = ShardStats {
-            shards: u("shards")? as usize,
-            sync_round_trips: u("sync_round_trips")?,
-            deliveries: u("deliveries")?,
-            lookahead_stall_cycles: u("lookahead_stall_cycles")?,
-            events_per_shard: ev
-                .get("events_per_shard")
-                .and_then(Json::as_arr)
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(Json::as_u64)
-                .collect(),
-        };
-        match &mut self.shard {
-            Some(acc) => acc.merge(&stats),
-            None => self.shard = Some(stats),
-        }
-        Ok(())
-    }
-
     fn on_phase(&mut self, ev: &Json) -> Result<(), String> {
         let name = ev
             .get("name")
@@ -275,11 +247,6 @@ impl CampaignReport {
     /// Merged worker-pool stats (None when no `worker_util` seen).
     pub fn worker(&self) -> Option<&RunnerStats> {
         self.worker.as_ref()
-    }
-
-    /// Merged shard-engine stats (None when every run was serial).
-    pub fn shard(&self) -> Option<&ShardStats> {
-        self.shard.as_ref()
     }
 
     /// Malformed-line diagnostics accumulated by
@@ -360,22 +327,6 @@ impl CampaignReport {
             }
             None => out.push_str("  \"worker\": null,\n"),
         }
-        match &self.shard {
-            Some(s) => {
-                let _ = writeln!(
-                    out,
-                    "  \"shard\": {{\"shards\": {}, \"sync_round_trips\": {}, \
-                     \"deliveries\": {}, \"lookahead_stall_cycles\": {}, \
-                     \"imbalance\": {}}},",
-                    s.shards,
-                    s.sync_round_trips,
-                    s.deliveries,
-                    s.lookahead_stall_cycles,
-                    s.imbalance()
-                );
-            }
-            None => out.push_str("  \"shard\": null,\n"),
-        }
         out.push_str("  \"phases\": {");
         for (i, (name, secs)) in self.phases.iter().enumerate() {
             if i > 0 {
@@ -444,18 +395,6 @@ impl CampaignReport {
                 w.cells(),
                 w.utilization() * 100.0,
                 w.wall_seconds
-            );
-        }
-        if let Some(s) = &self.shard {
-            let _ = writeln!(
-                out,
-                "\nShard engine: {} shard(s), {} sync round-trip(s), {} cross-shard \
-                 deliver(ies), {} lookahead-stall cycle(s), imbalance {:.3}.",
-                s.shards,
-                s.sync_round_trips,
-                s.deliveries,
-                s.lookahead_stall_cycles,
-                s.imbalance()
             );
         }
         if !self.phases.is_empty() {
@@ -536,18 +475,6 @@ impl CampaignReport {
             out.push_str("# TYPE pac_worker_cells_claimed_total counter\n");
             let _ = writeln!(out, "pac_worker_cells_claimed_total {}", w.cells());
         }
-        if let Some(s) = &self.shard {
-            out.push_str("# TYPE pac_shard_sync_round_trips_total counter\n");
-            let _ = writeln!(out, "pac_shard_sync_round_trips_total {}", s.sync_round_trips);
-            out.push_str("# TYPE pac_shard_lookahead_stall_cycles_total counter\n");
-            let _ = writeln!(
-                out,
-                "pac_shard_lookahead_stall_cycles_total {}",
-                s.lookahead_stall_cycles
-            );
-            out.push_str("# TYPE pac_shard_imbalance gauge\n");
-            let _ = writeln!(out, "pac_shard_imbalance {}", s.imbalance());
-        }
         out
     }
 }
@@ -577,7 +504,7 @@ mod tests {
         let reg = demo_registry();
         let (sink, buf) = ProgressSink::to_buffer();
         let id = CellId { bench: "EP", kind: "pac", backend: "hmc", config: "quick" };
-        sink.campaign_start("trace", "hmc", 1, 1, 1);
+        sink.campaign_start("trace", "hmc", 1, 1);
         sink.cell_start(0, &id);
         sink.metrics(0, &id, &reg);
         sink.cell_finish(0, &id, "pass", 0.5, 100_000);
@@ -627,7 +554,7 @@ mod tests {
     fn torn_lines_are_reported_not_fatal() {
         let mut report = CampaignReport::new();
         let stream = "{\"v\":1,\"ev\":\"campaign_start\",\"bin\":\"t\",\"backend\":\"hmc\",\
-                      \"threads\":1,\"shards\":1,\"total\":1}\n\
+                      \"threads\":1,\"total\":1}\n\
                       {\"v\":1,\"ev\":\"cell_fini";
         report.ingest_str(stream, "killed.jsonl");
         assert_eq!(report.errors().len(), 1);
@@ -649,7 +576,50 @@ mod tests {
     }
 
     #[test]
-    fn renders_include_worker_shard_and_wall_rows() {
+    fn pre_upgrade_stream_with_shard_events_still_ingests() {
+        // A campaign started before intra-run sharding was removed and
+        // resumed after it appends new-format lines to an old-format
+        // stream: the old `shards` field and the per-cell shard-engine
+        // event must be skipped, not treated as errors. (The retired
+        // event name is assembled here so a search for it over the
+        // source finds only the project history.)
+        let finish = |seq: u32, wall: &str, cycles: u32| {
+            format!(
+                "{{\"v\":1,\"ev\":\"cell_finish\",\"seq\":{seq},\"bench\":\"EP\",\
+                 \"kind\":\"pac\",\"backend\":\"hmc\",\"config\":\"q\",\"status\":\"pass\",\
+                 \"wall_seconds\":{wall},\"simulated_cycles\":{cycles},\"done\":1,\"total\":2,\
+                 \"elapsed_seconds\":{wall},\"eta_seconds\":0}}"
+            )
+        };
+        let stream = [
+            "{\"v\":1,\"ev\":\"campaign_start\",\"bin\":\"soak\",\"backend\":\"hmc\",\
+             \"threads\":4,\"shards\":2,\"total\":2}"
+                .to_string(),
+            finish(0, "0.5", 1000),
+            format!(
+                "{{\"v\":1,\"ev\":\"{}\",\"seq\":0,\"shards\":2,\"sync_round_trips\":12,\
+                 \"deliveries\":5,\"lookahead_stall_cycles\":99,\"imbalance\":1.25,\
+                 \"events_per_shard\":[4,6]}}",
+                ["shard", "util"].join("_")
+            ),
+            "{\"v\":1,\"ev\":\"campaign_start\",\"bin\":\"soak\",\"backend\":\"hmc\",\
+             \"threads\":4,\"total\":2}"
+                .to_string(),
+            finish(1, "0.25", 500),
+        ]
+        .join("\n");
+        let mut report = CampaignReport::new();
+        report.ingest_str(&stream, "resumed.jsonl");
+        assert!(report.errors().is_empty(), "{:?}", report.errors());
+        assert_eq!(report.total_cells(), 2);
+        let json = Json::parse(&report.render_json()).expect("report JSON parses");
+        assert_eq!(json.get("segments").and_then(Json::as_u64), Some(2));
+        assert_eq!(json.get("unknown_events").and_then(Json::as_u64), Some(1));
+        assert_eq!(json.get("parse_errors").and_then(Json::as_u64), Some(0));
+    }
+
+    #[test]
+    fn renders_include_worker_and_wall_rows() {
         let (sink, buf) = ProgressSink::to_buffer();
         let id = CellId { bench: "EP", kind: "pac", backend: "hbm", config: "q" };
         sink.cell_finish(0, &id, "fail", 0.25, 1000);
@@ -660,16 +630,6 @@ mod tests {
                 WorkerStats { cells_claimed: 1, busy_seconds: 0.6, idle_seconds: 1.4 },
             ],
         });
-        sink.shard_util(
-            0,
-            &ShardStats {
-                shards: 4,
-                sync_round_trips: 12,
-                deliveries: 5,
-                lookahead_stall_cycles: 99,
-                events_per_shard: vec![4, 4, 4, 5],
-            },
-        );
         let mut report = CampaignReport::new();
         report.ingest_str(&buf.contents(), "mem");
         assert_eq!(report.total_cells(), 1);
@@ -678,21 +638,20 @@ mod tests {
         let md = report.render_markdown();
         assert!(md.contains("cell_wall_us"), "{md}");
         assert!(md.contains("Worker pool: 2 worker(s), 4 cell(s)"), "{md}");
-        assert!(md.contains("Shard engine: 4 shard(s), 12 sync round-trip(s)"), "{md}");
 
         let prom = report.render_prometheus();
         assert!(prom.contains(
             "pac_cells_total{bench=\"EP\",kind=\"pac\",backend=\"hbm\",config=\"q\"} 1"
         ));
         assert!(prom.contains("pac_cell_failures_total"));
-        assert!(prom.contains("pac_shard_sync_round_trips_total 12"));
+        assert!(prom.contains("pac_worker_utilization"));
         assert!(prom.contains("quantile=\"0.99\""));
 
         let json = report.render_json();
         let parsed = Json::parse(&json).expect("report JSON parses");
         assert_eq!(
-            parsed.get("shard").and_then(|s| s.get("sync_round_trips")).and_then(Json::as_u64),
-            Some(12)
+            parsed.get("worker").and_then(|w| w.get("cells")).and_then(Json::as_u64),
+            Some(4)
         );
     }
 }

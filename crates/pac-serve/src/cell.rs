@@ -69,7 +69,6 @@ pub fn build(cell: &CellSpec, spec: &CampaignSpec) -> SimSystem {
     let sim = SimConfig { cores: spec.cores, ..SimConfig::for_backend(cell.backend) };
     let specs = single_process(cell.bench, spec.cores, cell.seed);
     let mut sys = SimSystem::with_options(sim, specs, cell.kind, false, false, Stepping::SkipAhead);
-    sys.set_parallel(pac_types::shard_count());
     let mut ocfg = OracleConfig::for_sim(&sim);
     if cell.fault == Some(FaultClass::DelayResponse) {
         // Delay faults need a finite latency bound to be detectable;
@@ -87,7 +86,7 @@ pub fn build(cell: &CellSpec, spec: &CampaignSpec) -> SimSystem {
     }
     if let Some(class) = cell.ras {
         // Enumeration guarantees the class is native to the cell's
-        // backend; arming forces the serial engine.
+        // backend.
         sys.set_ras_plan(RasPlan::new(class, cell.seed))
             .expect("enumerated ras class is native to the cell's backend");
         // A double-bit detect poisons the address echo; without the
@@ -102,14 +101,11 @@ pub fn build(cell: &CellSpec, spec: &CampaignSpec) -> SimSystem {
 }
 
 /// Restore a cell from checkpoint bytes. The snapshot carries the
-/// oracle, fault, and recovery state; only sharding is runtime policy
-/// and must be re-armed.
+/// oracle, fault, and recovery state.
 pub fn restore(cell: &CellSpec, spec: &CampaignSpec, bytes: &[u8]) -> Result<SimSystem, String> {
     let specs = single_process(cell.bench, spec.cores, cell.seed);
-    let mut sys = SimSystem::restore(specs, bytes, &snapshot_meta(cell))
-        .map_err(|e| format!("checkpoint restore failed: {e}"))?;
-    sys.set_parallel(pac_types::shard_count());
-    Ok(sys)
+    SimSystem::restore(specs, bytes, &snapshot_meta(cell))
+        .map_err(|e| format!("checkpoint restore failed: {e}"))
 }
 
 /// Advance one lease of a cell. With a quantum, the cell runs at most

@@ -483,13 +483,7 @@ fn run_campaign(
     let started = Instant::now();
     let epoch = started;
     let backend_label = if spec.backends.len() == 1 { spec.backends[0].label() } else { "mixed" };
-    cfg.progress.campaign_start(
-        "pac-serve",
-        backend_label,
-        spec.threads,
-        pac_types::shard_count(),
-        state.len() as u64,
-    );
+    cfg.progress.campaign_start("pac-serve", backend_label, spec.threads, state.len() as u64);
     let mut c = Campaign {
         spec,
         cfg,

@@ -22,10 +22,6 @@ pub struct ExperimentConfig {
     /// Clock-advance policy; skip-ahead by default, bit-identical to
     /// the cycle-by-cycle reference (`PAC_STEPPING=every` forces it).
     pub stepping: Stepping,
-    /// HMC vault shards per run (intra-run parallelism). A runtime
-    /// policy, bit-identical at any value; serial by default
-    /// (`PAC_SHARDS=N` forces it). Ignored when tracing.
-    pub shards: usize,
 }
 
 impl Default for ExperimentConfig {
@@ -37,7 +33,6 @@ impl Default for ExperimentConfig {
             capture_trace: false,
             trace_occupancy: false,
             stepping: Stepping::from_env(),
-            shards: pac_types::shard_count(),
         }
     }
 }
@@ -56,7 +51,6 @@ pub fn run_specs(
         cfg.trace_occupancy,
         cfg.stepping,
     );
-    sys.set_parallel(cfg.shards);
     let metrics = sys.run(cfg.accesses_per_core);
     let trace = sys.take_trace();
     (metrics, trace)

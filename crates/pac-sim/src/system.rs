@@ -464,20 +464,6 @@ impl SimSystem {
         &self.tracer
     }
 
-    /// Shard the HMC vault walk across `shards` worker threads. A
-    /// runtime policy, not part of the experiment identity: metrics,
-    /// oracle verdicts, and checkpoints are bit-identical at any shard
-    /// count, so it never appears in [`SimConfig`] or snapshots (a
-    /// restored system starts serial; re-arm after [`Self::restore`]).
-    /// Ignored while tracing — exact-cycle event emission needs the
-    /// serial engine. `shards <= 1` returns to serial mode.
-    pub fn set_parallel(&mut self, shards: usize) {
-        if self.tracer.is_enabled() {
-            return;
-        }
-        self.mem.set_parallel(shards);
-    }
-
     /// Faults the device actually injected so far.
     pub fn faults_injected(&self) -> u64 {
         self.mem.faults_injected()
@@ -485,8 +471,8 @@ impl SimSystem {
 
     /// Arm the device's hardware RAS layer (link CRC/retry/degrade on
     /// the HMC backend, ECC/scrub/sparing on the HBM). Validated
-    /// against the configured backend at arm time; forces the serial
-    /// engine, like tracing. RAS events are conservation-preserving —
+    /// against the configured backend at arm time. RAS events are
+    /// conservation-preserving —
     /// the lockstep oracle must stay silent through every class (the
     /// one deliberate exception is the double-bit poison, which the
     /// recovery layer repairs before the oracle's final verdict).
@@ -1013,9 +999,8 @@ impl SimSystem {
             }
             self.tracer.counter(now, CounterKind::BankConflicts, self.mem.bank_conflicts());
             // Per-cause issue-stall accounting, on backends that model
-            // named timing rules (HBM). Exact mid-run: an enabled
-            // tracer forces the serial engine, so the channel counters
-            // are always current here.
+            // named timing rules (HBM); the channel counters are
+            // always current mid-run.
             if let Some(stalls) = self.mem.stall_cycles() {
                 self.tracer.counter(now, CounterKind::TccdLStallCycles, stalls.tccd_l);
                 self.tracer.counter(now, CounterKind::TfawStallCycles, stalls.tfaw);
@@ -1116,12 +1101,11 @@ impl SimSystem {
     /// clock to the present.
     ///
     /// `clamp` caps the landing cycle (the caller's pause/limit
-    /// boundary). Different engines wake at different conservative
-    /// bounds — serial vs sharded HMC, skip-ahead vs every-cycle — so
-    /// an uncapped jump would overshoot the boundary by a
+    /// boundary). Skip-ahead and every-cycle stepping wake at different
+    /// cycles, so an uncapped jump would overshoot the boundary by a
     /// mode-dependent amount and pause at a mode-dependent `now`.
     /// Landing exactly on the boundary keeps mid-run checkpoints
-    /// byte-identical across all of them; the split bulk accounting
+    /// byte-identical across both; the split bulk accounting
     /// ([now, clamp) here, the landing tick's own refusals, the rest
     /// after resuming) sums to the unclamped totals.
     fn skip_to_next_event(&mut self, clamp: Cycle) {
@@ -1252,11 +1236,6 @@ impl SimSystem {
                 return RunProgress::CycleLimit;
             }
             if self.now >= stop_at {
-                // Pausing means a checkpoint may follow: fold the shard
-                // engine's in-flight state back into the device, pinned
-                // to this pause boundary, so `save_state` sees the
-                // serial-identical snapshot.
-                self.mem.quiesce_engine_at(self.now);
                 return RunProgress::Paused;
             }
             self.tick();
@@ -1524,18 +1503,9 @@ impl SimSystem {
     }
 
     /// Per-cause issue-stall cycles from the backend, where the model
-    /// attributes them (HBM; `None` on HMC). Current at quiesced
-    /// boundaries and after `finish_run`.
+    /// attributes them (HBM; `None` on HMC).
     pub fn stall_cycles(&self) -> Option<pac_types::StallCycles> {
         self.mem.stall_cycles()
-    }
-
-    /// Shard-engine self-metrics, when intra-run sharding is armed
-    /// (`None` when serial). Quiescing keeps the engine — and these
-    /// stats — alive; rebuilding it (re-arm, tracer attach, snapshot
-    /// restore) resets the accounting.
-    pub fn shard_stats(&self) -> Option<pac_types::ShardStats> {
-        self.mem.shard_stats()
     }
 
     pub fn hierarchy(&self) -> &CacheHierarchy {
@@ -1563,9 +1533,6 @@ pub struct LockstepOutcome {
     pub faults_injected: u64,
     /// The recovery layer's report, when one was armed.
     pub recovery: Option<RecoveryReport>,
-    /// Shard-engine self-metrics, when intra-run sharding was armed
-    /// (`None` on serial runs).
-    pub shard_stats: Option<pac_types::ShardStats>,
     /// RAS event counters, when a RAS plan was armed.
     pub ras_stats: Option<pac_types::RasStats>,
     /// Simulated cycle the run ended at.
@@ -1592,13 +1559,11 @@ pub fn run_lockstep(
     cycle_limit: Cycle,
 ) -> LockstepOutcome {
     let mut sys = SimSystem::new(cfg, specs, kind);
-    sys.set_parallel(pac_types::shard_count());
     sys.attach_oracle_with(oracle_cfg.unwrap_or_else(|| OracleConfig::for_sim(sys.config())));
     if let Some(plan) = fault {
         sys.set_fault_plan(plan).expect("valid fault plan");
     }
     if let Some(plan) = ras {
-        // Arming tears the shard engine back down to serial.
         sys.set_ras_plan(plan).expect("valid ras plan");
     }
     if let Some(rc) = recovery {
@@ -1610,7 +1575,6 @@ pub fn run_lockstep(
         converged,
         faults_injected: sys.faults_injected(),
         recovery: sys.recovery_report(),
-        shard_stats: sys.shard_stats(),
         ras_stats: sys.ras_stats(),
         cycles: sys.now(),
     }
@@ -1824,115 +1788,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_system_matches_serial_metrics() {
-        // The shard engine is a scheduling policy, not a model change:
-        // every RunMetrics field (cycle counts, f64 energy, histograms)
-        // must be bit-identical at any shard count.
-        for kind in CoalescerKind::ALL {
-            let serial = run(Bench::Bfs, kind, 2000);
-            let specs = single_process(Bench::Bfs, 4, 7);
-            let mut sys = SimSystem::new(small_cfg(), specs, kind);
-            sys.set_parallel(3);
-            let sharded = sys.run(2000);
-            assert_eq!(serial, sharded, "{} diverged under sharding", kind.label());
-        }
-    }
-
-    #[test]
-    fn lockstep_oracle_silent_under_shards() {
-        for kind in CoalescerKind::ALL {
-            let specs = single_process(Bench::Bfs, 4, 11);
-            let mut sys = SimSystem::new(small_cfg(), specs, kind);
-            sys.set_parallel(2);
-            sys.attach_oracle();
-            assert!(sys.run_until(1500, 10_000_000), "{} failed to drain", kind.label());
-            let report = sys.oracle_report().unwrap();
-            assert!(report.is_clean(), "{}: {}", kind.label(), report.summary());
-        }
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_bit_identical_under_shards() {
-        // Pausing quiesces the shard engine, so a mid-run snapshot of a
-        // sharded system is byte-identical to the serial system's, and
-        // a restored run re-armed with shards finishes with the same
-        // metrics as an uninterrupted serial run.
-        let meta = "shard-roundtrip";
-        let mk = || SimSystem::new(small_cfg(), single_process(Bench::Stream, 4, 7), CoalescerKind::Pac);
-        let mut serial = mk();
-        let mut sharded = mk();
-        sharded.set_parallel(4);
-        serial.begin_run(1500);
-        sharded.begin_run(1500);
-        assert_eq!(serial.advance(10_000_000, 1_000), RunProgress::Paused);
-        assert_eq!(sharded.advance(10_000_000, 1_000), RunProgress::Paused);
-        let snap_serial = serial.save_state(meta).unwrap();
-        let snap_sharded = sharded.save_state(meta).unwrap();
-        assert_eq!(snap_serial, snap_sharded, "mid-run snapshots diverged");
-
-        let mut resumed =
-            SimSystem::restore(single_process(Bench::Stream, 4, 7), &snap_sharded, meta).unwrap();
-        resumed.set_parallel(2); // restored systems start serial; re-arm
-        let limit = resumed.run_limit();
-        assert_eq!(resumed.advance(limit, Cycle::MAX), RunProgress::Done);
-        let resumed_metrics = resumed.finish_run();
-        let baseline = run(Bench::Stream, CoalescerKind::Pac, 1500);
-        assert_eq!(resumed_metrics, baseline, "resumed sharded run diverged");
-    }
-
-    #[test]
-    fn late_pause_rearm_bit_identical_under_shards() {
-        // Regression: arming the shard engine on a *mid-run* restored
-        // device must seed the lazy lookahead bound from the restored
-        // vault queues. With the bound assumed empty (`u64::MAX`), the
-        // engine never synchronized until the next submit lowered it,
-        // responses for already-queued references popped late, and the
-        // resumed run did extra work (stalls/retries) versus the
-        // uninterrupted one. Needs a pause late enough that vault
-        // queues hold unissued requests — the early-pause roundtrip
-        // test above never trips it.
-        let seed = 0x18e7cadcd801f31a;
-        let meta = "late-rearm";
-        let mk = || {
-            let sim = SimConfig { cores: 4, ..SimConfig::default() };
-            SimSystem::with_options(
-                sim,
-                single_process(Bench::Bt, 4, seed),
-                CoalescerKind::MshrDmc,
-                false,
-                false,
-                Stepping::SkipAhead,
-            )
-        };
-        let limit: Cycle = 10_000_000;
-        let mut uninterrupted = mk();
-        uninterrupted.set_parallel(2);
-        uninterrupted.begin_run(400);
-        assert_eq!(uninterrupted.advance(limit, Cycle::MAX), RunProgress::Done);
-        let reference = uninterrupted.finish_run();
-
-        let stop = reference.runtime_cycles * 716 / 1000;
-        let mut paused = mk();
-        paused.set_parallel(2);
-        paused.begin_run(400);
-        assert_eq!(paused.advance(limit, stop), RunProgress::Paused);
-        let snap = paused.save_state(meta).unwrap();
-
-        let mut resumed = SimSystem::restore(single_process(Bench::Bt, 4, seed), &snap, meta).unwrap();
-        resumed.set_parallel(2);
-        assert_eq!(resumed.advance(limit, Cycle::MAX), RunProgress::Done);
-        assert_eq!(resumed.finish_run(), reference, "late re-arm diverged");
-    }
-
-    #[test]
-    fn set_parallel_is_ignored_while_tracing() {
-        // Exact-cycle event emission needs the serial engine; arming
-        // shards under an enabled tracer must quietly no-op.
+    fn tracing_does_not_perturb_metrics() {
         let plain = run(Bench::Ep, CoalescerKind::Pac, 2000);
         let specs = single_process(Bench::Ep, 4, 7);
         let mut sys = SimSystem::new(small_cfg(), specs, CoalescerKind::Pac);
         sys.set_trace_config(pac_types::TraceConfig::full());
-        sys.set_parallel(4);
         let traced = sys.run(2000);
         assert_eq!(plain, traced);
         assert!(!sys.tracer().snapshot_events().is_empty());

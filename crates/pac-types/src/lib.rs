@@ -29,13 +29,13 @@ pub use config::{
 };
 pub use fault::{FaultClass, FaultPlan, FaultPlanError};
 pub use hash::{IdHash, IdHasher};
-pub use obs::{RunnerStats, ShardStats, StallCycles, SupervisorStats, WorkerStats};
+pub use obs::{RunnerStats, StallCycles, SupervisorStats, WorkerStats};
 pub use protocol::MemoryProtocol;
 pub use ras::{RasClass, RasPlan, RasPlanError, RasStats};
 pub use recovery::RecoveryConfig;
 pub use request::{CoalescedRequest, MemRequest, Op, RequestKind};
 pub use snapshot::{frame, unframe, SnapError, SnapReader, SnapWriter, Snapshot};
-pub use threads::{derive_seed, shard_count, splitmix64, thread_count};
+pub use threads::{derive_seed, splitmix64, thread_count};
 pub use trace::{EventClass, EventClassSet, TraceConfig, TraceMode};
 
 /// Simulation time, in CPU cycles. The paper's cores run at 2 GHz, so one

@@ -1,15 +1,15 @@
 //! Harness self-metric types shared across the observability stack.
 //!
 //! These are the vocabulary of `pac-obs` (the campaign observability
-//! layer): per-channel device stall accounting, shard-engine sync
-//! statistics, and parallel-runner worker utilization. They live here —
+//! layer): per-channel device stall accounting and parallel-runner
+//! worker utilization. They live here —
 //! not in `pac-obs` — because the producers (`pac-mem`, `hmc-sim`,
 //! `pac-bench`) sit below `pac-obs` in the dependency graph.
 //!
-//! All three types merge commutatively: accumulating per-worker,
-//! per-shard, or per-channel contributions in any order yields the same
-//! totals, which is what lets sharded and fanned-out runs report the
-//! same campaign-level numbers as serial ones.
+//! Every type merges commutatively: accumulating per-worker or
+//! per-channel contributions in any order yields the same totals, which
+//! is what lets fanned-out runs report the same campaign-level numbers
+//! as serial ones.
 
 use crate::Cycle;
 
@@ -17,9 +17,9 @@ use crate::Cycle;
 ///
 /// Accounted at issue time as the excess each constraint adds over the
 /// point the request could otherwise have started, so the counters are
-/// a pure function of the issue schedule — identical under serial and
-/// sharded stepping — and attribute every stalled cycle to exactly one
-/// dominating cause evaluated in device order (`tCCD_L` → `tFAW` →
+/// a pure function of the issue schedule — identical under every-cycle
+/// and skip-ahead stepping — and attribute every stalled cycle to
+/// exactly one dominating cause evaluated in device order (`tCCD_L` → `tFAW` →
 /// bank busy → refresh).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallCycles {
@@ -54,56 +54,6 @@ impl StallCycles {
 }
 
 crate::snapshot_fields!(StallCycles { tccd_l, tfaw, bank_conflict, refresh });
-
-/// Sync statistics from one shard engine (`PAC_SHARDS` intra-run
-/// parallelism). Never checkpointed: the engine is torn down and
-/// recreated around every snapshot boundary, so these reset cleanly
-/// across a kill/resume round-trip.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Worker threads the engine is running.
-    pub shards: usize,
-    /// Advance broadcasts (each is a full request/reply round-trip per shard).
-    pub sync_round_trips: u64,
-    /// Requests handed to shard threads.
-    pub deliveries: u64,
-    /// Cycles the coordinator had to advance past the lookahead bound —
-    /// the slack a smarter lookahead could have skipped syncing for.
-    pub lookahead_stall_cycles: Cycle,
-    /// Response events produced by each shard; the spread is the
-    /// imbalance a work-stealing layout would reclaim.
-    pub events_per_shard: Vec<u64>,
-}
-
-impl ShardStats {
-    /// Commutative accumulation across engines (e.g. a run that tore the
-    /// engine down and rebuilt it). Per-shard event counts align by
-    /// index and extend when widths differ.
-    pub fn merge(&mut self, other: &ShardStats) {
-        self.shards = self.shards.max(other.shards);
-        self.sync_round_trips += other.sync_round_trips;
-        self.deliveries += other.deliveries;
-        self.lookahead_stall_cycles += other.lookahead_stall_cycles;
-        if self.events_per_shard.len() < other.events_per_shard.len() {
-            self.events_per_shard.resize(other.events_per_shard.len(), 0);
-        }
-        for (mine, theirs) in self.events_per_shard.iter_mut().zip(&other.events_per_shard) {
-            *mine += *theirs;
-        }
-    }
-
-    /// Imbalance ratio: busiest shard's event count over the mean, or
-    /// 1.0 for an empty/even engine. 1.0 is perfectly balanced.
-    pub fn imbalance(&self) -> f64 {
-        let total: u64 = self.events_per_shard.iter().sum();
-        if total == 0 || self.events_per_shard.is_empty() {
-            return 1.0;
-        }
-        let mean = total as f64 / self.events_per_shard.len() as f64;
-        let max = self.events_per_shard.iter().copied().max().unwrap_or(0);
-        max as f64 / mean
-    }
-}
 
 /// One `ParallelRunner` worker's share of a fan-out.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -258,38 +208,6 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         assert_eq!(StallCycles::load(&mut r).unwrap(), s);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn shard_stats_merge_extends_and_sums() {
-        let mut a = ShardStats {
-            shards: 2,
-            sync_round_trips: 3,
-            deliveries: 10,
-            lookahead_stall_cycles: 7,
-            events_per_shard: vec![4, 6],
-        };
-        let b = ShardStats {
-            shards: 4,
-            sync_round_trips: 1,
-            deliveries: 5,
-            lookahead_stall_cycles: 2,
-            events_per_shard: vec![1, 1, 8],
-        };
-        a.merge(&b);
-        assert_eq!(a.shards, 4);
-        assert_eq!(a.sync_round_trips, 4);
-        assert_eq!(a.deliveries, 15);
-        assert_eq!(a.lookahead_stall_cycles, 9);
-        assert_eq!(a.events_per_shard, vec![5, 7, 8]);
-    }
-
-    #[test]
-    fn imbalance_is_max_over_mean() {
-        let s = ShardStats { events_per_shard: vec![2, 2, 8], ..ShardStats::default() };
-        let mean = 12.0 / 3.0;
-        assert!((s.imbalance() - 8.0 / mean).abs() < 1e-12);
-        assert_eq!(ShardStats::default().imbalance(), 1.0);
     }
 
     #[test]

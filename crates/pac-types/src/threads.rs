@@ -1,18 +1,13 @@
 //! Thread-count resolution and deterministic seed derivation for the
-//! parallel engine.
+//! matrix fan-out.
 //!
-//! Two independent layers of parallelism share this module:
+//! `pac-bench`'s `ParallelRunner` schedules whole matrix cells across a
+//! worker pool; each cell is one serial simulation. [`thread_count`]
+//! resolves how many workers to use from an explicit `--threads N`, the
+//! `PAC_THREADS` environment variable, or the host's available
+//! parallelism, in that order.
 //!
-//! * **Matrix fan-out** (`pac-bench`'s `ParallelRunner`) schedules whole
-//!   matrix cells across a worker pool. [`thread_count`] resolves how
-//!   many workers to use from an explicit `--threads N`, the
-//!   `PAC_THREADS` environment variable, or the host's available
-//!   parallelism, in that order.
-//! * **Intra-run vault sharding** (`hmc-sim`'s shard engine) splits one
-//!   device's vaults across worker threads. [`shard_count`] resolves the
-//!   shard count from `PAC_SHARDS` (default 1 = the serial engine).
-//!
-//! Determinism never depends on either count: cell seeds come from
+//! Determinism never depends on the worker count: cell seeds come from
 //! [`derive_seed`], a pure function of the campaign master seed and the
 //! cell index, so cell N sees the same seed whether it runs first on one
 //! thread or last on sixteen.
@@ -63,18 +58,6 @@ pub fn thread_count(explicit: Option<usize>) -> usize {
 /// The host's available parallelism (at least 1).
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Resolve the intra-run vault shard count from `PAC_SHARDS`. The
-/// default, 1, is the serial engine; values above 1 arm the shard
-/// engine, which is proven bit-identical to serial. Mirrors the
-/// `PAC_STEPPING` convention: a runtime policy, never part of the
-/// simulated configuration or its snapshots.
-pub fn shard_count() -> usize {
-    match std::env::var("PAC_SHARDS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => 1,
-    }
 }
 
 #[cfg(test)]

@@ -1,26 +1,15 @@
 //! Property tests: the observability self-metric types
-//! ([`StallCycles`], [`ShardStats`], [`RunnerStats`]) merge
-//! order-independently — commutative, associative, and agreeing under
-//! any fold order. This is the contract that lets per-channel,
-//! per-shard, and per-worker contributions be accumulated in whatever
-//! order runs complete (or stream segments are ingested) while always
-//! reporting the same campaign totals.
+//! ([`StallCycles`], [`RunnerStats`]) merge order-independently —
+//! commutative, associative, and agreeing under any fold order. This is
+//! the contract that lets per-channel and per-worker contributions be
+//! accumulated in whatever order runs complete (or stream segments are
+//! ingested) while always reporting the same campaign totals.
 
-use pac_types::{RunnerStats, ShardStats, StallCycles, WorkerStats};
+use pac_types::{RunnerStats, StallCycles, WorkerStats};
 use proptest::prelude::*;
 
 fn stalls(v: &[u64; 4]) -> StallCycles {
     StallCycles { tccd_l: v[0], tfaw: v[1], bank_conflict: v[2], refresh: v[3] }
-}
-
-fn shard(trips: u64, deliveries: u64, stall: u64, events: &[u64]) -> ShardStats {
-    ShardStats {
-        shards: events.len(),
-        sync_round_trips: trips,
-        deliveries,
-        lookahead_stall_cycles: stall,
-        events_per_shard: events.to_vec(),
-    }
 }
 
 /// Worker seconds drawn as whole numbers: integer-valued f64 addition
@@ -76,59 +65,6 @@ proptest! {
         prop_assert_eq!(
             fwd.total(),
             parts.iter().map(|p| p.total()).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn shard_stats_merge_commutes_and_associates(
-        gs in prop::collection::vec(
-            (
-                0u64..1000,
-                0u64..1000,
-                0u64..1 << 30,
-                prop::collection::vec(0u64..1 << 30, 0..6),
-            ),
-            2..6,
-        )
-    ) {
-        let parts: Vec<ShardStats> =
-            gs.iter().map(|(t, d, s, e)| shard(*t, *d, *s, e)).collect();
-        let mut ab = parts[0].clone();
-        ab.merge(&parts[1]);
-        let mut ba = parts[1].clone();
-        ba.merge(&parts[0]);
-        prop_assert_eq!(&ab, &ba);
-
-        let mut fwd = ShardStats::default();
-        for p in &parts {
-            fwd.merge(p);
-        }
-        let mut rev = ShardStats::default();
-        for p in parts.iter().rev() {
-            rev.merge(p);
-        }
-        prop_assert_eq!(&fwd, &rev);
-        let mut layer = parts.clone();
-        while layer.len() > 1 {
-            let mut next = Vec::new();
-            for pair in layer.chunks(2) {
-                let mut m = pair[0].clone();
-                if let Some(rhs) = pair.get(1) {
-                    m.merge(rhs);
-                }
-                next.push(m);
-            }
-            layer = next;
-        }
-        prop_assert_eq!(&fwd, &layer[0]);
-        // Width is the max contributor; totals are plain sums.
-        prop_assert_eq!(
-            fwd.events_per_shard.len(),
-            parts.iter().map(|p| p.events_per_shard.len()).max().unwrap_or(0)
-        );
-        prop_assert_eq!(
-            fwd.deliveries,
-            parts.iter().map(|p| p.deliveries).sum::<u64>()
         );
     }
 

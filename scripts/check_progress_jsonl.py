@@ -21,7 +21,7 @@ import json
 import sys
 
 EVENTS = {
-    "campaign_start": {"bin": str, "backend": str, "threads": int, "shards": int, "total": int},
+    "campaign_start": {"bin": str, "backend": str, "threads": int, "total": int},
     "cell_start": {"seq": int, "bench": str, "kind": str, "backend": str, "config": str},
     "cell_finish": {
         "seq": int,
@@ -38,15 +38,6 @@ EVENTS = {
     },
     "metrics": {"seq": int, "bench": str, "kind": str, "backend": str, "config": str, "hists": dict},
     "worker_util": {"wall_seconds": (int, float), "utilization": (int, float), "workers": list},
-    "shard_util": {
-        "seq": int,
-        "shards": int,
-        "sync_round_trips": int,
-        "deliveries": int,
-        "lookahead_stall_cycles": int,
-        "imbalance": (int, float),
-        "events_per_shard": list,
-    },
     "phase": {"name": str, "seconds": (int, float)},
     "checkpoint": {"cycle": int, "path": str},
     "resumed": {"cycle": int, "path": str},

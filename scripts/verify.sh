@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification gate: tier-1 build+tests, lint wall, and a
-# throughput-harness smoke run.
+# Repo verification gate: release build, every workspace test, lint
+# wall, and a throughput-harness smoke run.
 #
 #   $ scripts/verify.sh
 #
@@ -14,8 +14,8 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: release build =="
 cargo build --release
 
-echo "== tier-1: test suite =="
-cargo test -q
+echo "== tier-1: test suite (every workspace crate) =="
+cargo test --workspace -q
 
 echo "== lint: clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings

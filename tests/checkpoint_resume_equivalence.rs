@@ -121,15 +121,24 @@ fn hbm_kill_resume_matches_uninterrupted_for_all_coalescers() {
     }
 }
 
-/// A second workload/seed with gather-scatter traffic, all kinds.
+/// Other workloads and seeds: gather-scatter traffic under all kinds,
+/// paused halfway, plus a late pause (71.6 % of the run) on BT under the
+/// MSHR-DMC, taken while requests are still in flight in the device.
 #[test]
 fn kill_resume_matches_on_alternate_workload() {
-    for &kind in &KINDS {
-        let cfg = SimConfig::default();
-        let (base, _) = uninterrupted(Bench::Gs, kind, cfg, 0xDEAD_BEEF);
-        let stop = (base.runtime_cycles / 2).max(1);
-        let (resumed, _) = kill_resume_at(Bench::Gs, kind, cfg, 0xDEAD_BEEF, stop);
-        assert_eq!(base, resumed, "{kind:?}: GS metrics diverged after resume");
+    let gs = KINDS.map(|kind| (Bench::Gs, kind, SimConfig::default(), 0xDEAD_BEEF, 500));
+    let late = (
+        Bench::Bt,
+        CoalescerKind::MshrDmc,
+        SimConfig { cores: 4, ..SimConfig::default() },
+        0x18e7_cadc_d801_f31a,
+        716,
+    );
+    for (bench, kind, cfg, seed, per_mille) in gs.into_iter().chain([late]) {
+        let (base, _) = uninterrupted(bench, kind, cfg, seed);
+        let stop = (base.runtime_cycles * per_mille / 1000).max(1);
+        let (resumed, _) = kill_resume_at(bench, kind, cfg, seed, stop);
+        assert_eq!(base, resumed, "{bench:?}/{kind:?}: metrics diverged after resume at {stop}");
     }
 }
 
