@@ -48,14 +48,23 @@ use pac_bench::conformance::{
     ConformanceScale,
 };
 use pac_bench::diff::diff_matrix;
-use pac_bench::runner::{backend_from_args, progress_from_args, threads_from_args};
+use pac_bench::runner::{
+    backend_from_args, progress_from_args, reject_unknown_args, threads_from_args,
+};
 use pac_bench::ParallelRunner;
 use pac_obs::{PhaseTimer, ProgressSink};
 use pac_types::BackendKind;
 
+const USAGE: &str = "usage: conformance [--quick] [--recover | --ras | --diff] \
+                     [--backend hmc|hbm] [--threads N] [--progress <path|->]";
+
 fn main() {
     pac_types::sigwatch::install();
     let args: Vec<String> = std::env::args().collect();
+    if let Err(e) = reject_unknown_args(&args[1..], &["--quick", "--recover", "--ras", "--diff"]) {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    }
     let quick =
         args.iter().any(|a| a == "--quick") || std::env::var("PAC_QUICK").is_ok_and(|v| v != "0");
     let recover = args.iter().any(|a| a == "--recover");

@@ -32,16 +32,25 @@
 //! requested width — the CI proof that fan-out changes wall-clock only.
 
 use pac_bench::harness;
-use pac_bench::runner::{backend_from_args, progress_from_args, threads_from_args};
+use pac_bench::runner::{
+    backend_from_args, progress_from_args, reject_unknown_args, threads_from_args,
+};
 use pac_bench::throughput::{determinism_gate, scaling_curve, sweep, to_json};
 use pac_bench::{matrix, ParallelRunner};
 use pac_obs::{PhaseTimer, ProgressSink};
 use pac_sim::{ExperimentConfig, Stepping};
 use pac_types::SimConfig;
 
+const USAGE: &str = "usage: throughput [--quick] [--gate | --skip-only] \
+                     [--backend hmc|hbm] [--threads N] [--progress <path|->]";
+
 fn main() {
     pac_types::sigwatch::install();
     let args: Vec<String> = std::env::args().collect();
+    if let Err(e) = reject_unknown_args(&args[1..], &["--quick", "--gate", "--skip-only"]) {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    }
     let skip_only = args.iter().any(|a| a == "--skip-only");
     let gate = args.iter().any(|a| a == "--gate");
     let quick = args.iter().any(|a| a == "--quick") || harness::quick_mode();

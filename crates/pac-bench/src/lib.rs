@@ -23,7 +23,6 @@ pub mod harness;
 pub mod matrix;
 pub mod paper;
 pub mod runner;
-pub mod soak;
 pub mod throughput;
 pub mod trace_cmd;
 

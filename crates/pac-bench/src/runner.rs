@@ -131,6 +131,24 @@ impl ParallelRunner {
     }
 }
 
+/// Refuse any argument that is neither one of `switches` nor a
+/// `--threads`, `--backend` or `--progress` value flag (as `--flag V`
+/// or `--flag=V`): a typo must never silently select a different mode.
+pub fn reject_unknown_args(args: &[String], switches: &[&str]) -> Result<(), BenchError> {
+    const VALUED: [&str; 3] = ["--threads", "--backend", "--progress"];
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if VALUED.contains(&a.as_str()) {
+            it.next();
+        } else if !switches.contains(&a.as_str())
+            && !VALUED.iter().any(|f| a.strip_prefix(f).is_some_and(|v| v.starts_with('=')))
+        {
+            return Err(BenchError::Usage(format!("unknown argument '{a}'")));
+        }
+    }
+    Ok(())
+}
+
 /// Parse the uniform `--progress <path|->` / `--progress=ARG` flag.
 /// Returns `None` when absent — the caller builds a
 /// [`pac_obs::ProgressSink`] (disabled when `None`), choosing create vs

@@ -22,7 +22,7 @@
 
 use pac_obs::ProgressSink;
 use pac_serve::scheduler::{self, SchedulerConfig};
-use pac_serve::{chaos, CampaignSpec, CellStatus};
+use pac_serve::{chaos, CampaignSpec};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
@@ -247,6 +247,4 @@ fn main() {
         }
         _ => unreachable!("validated in parse_args"),
     }
-    // Silence unused-import warning paths on non-run commands.
-    let _ = CellStatus::Pending;
 }

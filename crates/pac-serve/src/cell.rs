@@ -5,9 +5,10 @@
 //! Everything here is deterministic: the same [`CellSpec`] always
 //! produces the same fingerprint, whether it ran in one lease or was
 //! preempted/checkpointed/resumed arbitrarily many times (the PACSNAP1
-//! round-trip is bit-identical, which the soak suite proves
-//! independently). That determinism is what lets the chaos harness
-//! demand bit-identical per-cell results across `kill -9`.
+//! round-trip is bit-identical, which
+//! `tests/checkpoint_resume_equivalence.rs` proves independently). That
+//! determinism is what lets the chaos harness demand bit-identical
+//! per-cell results across `kill -9`.
 
 use crate::journal::CellFingerprint;
 use crate::spec::{CampaignSpec, CellSpec};
@@ -42,11 +43,11 @@ pub fn snapshot_meta(cell: &CellSpec) -> String {
 }
 
 /// Generous convergence bound, stretched past the injected delay for
-/// delay faults (same policy as the soak suite).
+/// delay faults.
 pub fn cycle_limit(cell: &CellSpec, spec: &CampaignSpec) -> Cycle {
     // A fault with recovery disabled wedges by design (a dropped
     // response is never re-issued), so the run burns its whole bound
-    // every attempt: use the conformance-scale floor, not the soak one.
+    // every attempt: use the conformance-scale floor, not the 10M one.
     let floor = if cell.fault.is_some() && !cell.recovery { 600_000 } else { 10_000_000 };
     let base = spec
         .accesses_per_core

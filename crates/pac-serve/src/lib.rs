@@ -18,7 +18,7 @@
 //! * [`backoff`] — deterministic seeded retry schedules
 //! * [`scheduler`] — the supervised scheduler main loop
 //! * [`pool`] — in-process supervised fan-out (no journal) for
-//!   `pac-bench`'s soak and conformance campaigns
+//!   `pac-bench`'s conformance matrices
 //! * [`chaos`] — the self-kill chaos harness and its verifier
 
 pub mod backoff;

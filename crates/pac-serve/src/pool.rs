@@ -10,9 +10,9 @@
 //! from a shared atomic counter and write results into per-index slots,
 //! so the output order equals the input order at any thread count.
 //!
-//! `pac-bench`'s soak and conformance campaigns fan out through this
-//! pool: one wedged or panicking cell degrades to a quarantined entry
-//! in the report instead of tearing down the whole campaign.
+//! `pac-bench`'s conformance matrices fan out through this pool: one
+//! wedged or panicking cell degrades to a quarantined entry in the
+//! report instead of tearing down the whole campaign.
 
 use crate::backoff::BackoffConfig;
 use pac_types::SupervisorStats;

@@ -26,11 +26,12 @@
 //!
 //! ## Determinism
 //!
-//! Every cell's result is a pure function of its [`CellSpec`] (the soak
-//! suite proves checkpoint round-trips are bit-identical), so the
-//! campaign's per-cell fingerprints are independent of worker count,
-//! preemption points, crashes, and retries. The chaos harness
-//! ([`crate::chaos`]) leans on exactly this.
+//! Every cell's result is a pure function of its [`CellSpec`]
+//! (`tests/checkpoint_resume_equivalence.rs` proves checkpoint
+//! round-trips are bit-identical), so the campaign's per-cell
+//! fingerprints are independent of worker count, preemption points,
+//! crashes, and retries. The chaos harness ([`crate::chaos`]) leans on
+//! exactly this.
 
 use crate::backoff::BackoffConfig;
 use crate::cell::{self, CellStep};
@@ -350,7 +351,7 @@ pub fn run_fresh(spec: &CampaignSpec, cfg: &SchedulerConfig) -> Result<CampaignR
         .iter()
         .map(|c| Job { cell: *c, attempt: 1, eligible_at: Instant::now(), ckpt: None })
         .collect();
-    run_campaign(spec, cfg, journal, state, jobs)
+    run_campaign(spec, cfg, journal, state, jobs, &[])
 }
 
 /// Replay the journal and return the rebuilt state (shared by resume
@@ -374,7 +375,7 @@ pub fn replay_journal(cfg: &SchedulerConfig) -> Result<(CampaignSpec, Replay), S
 
 /// Resume a campaign from its journal: replay, append a `resume`
 /// record, requeue unfinished cells (from their checkpoints where one
-/// is journaled), run.
+/// is journaled, each announced by a `resumed` progress event), run.
 pub fn run_resumed(cfg: &SchedulerConfig) -> Result<CampaignReport, String> {
     let (spec, replay) = replay_journal(cfg)?;
     std::fs::create_dir_all(&cfg.ckpt_dir)
@@ -391,6 +392,7 @@ pub fn run_resumed(cfg: &SchedulerConfig) -> Result<CampaignReport, String> {
     let cells = spec.cells();
     let mut state = Vec::with_capacity(cells.len());
     let mut jobs = Vec::new();
+    let mut resumed = Vec::new();
     for (cell, rep) in cells.iter().zip(&replay.cells) {
         state.push(rep.status.clone());
         if !matches!(rep.status, CellStatus::Pending) {
@@ -402,14 +404,15 @@ pub fn run_resumed(cfg: &SchedulerConfig) -> Result<CampaignReport, String> {
         // budget meters *failures*, not crashes of the scheduler
         // itself.
         let (attempt, ckpt) = match &rep.ckpt {
-            Some((_, path, attempt)) if Path::new(path).is_file() => {
+            Some((cycle, path, attempt)) if Path::new(path).is_file() => {
+                resumed.push((*cycle, path.clone()));
                 (*attempt, Some(PathBuf::from(path)))
             }
             _ => (rep.attempts.max(1), None),
         };
         jobs.push(Job { cell: *cell, attempt, eligible_at: Instant::now(), ckpt });
     }
-    run_campaign(&spec, cfg, journal, state, jobs)
+    run_campaign(&spec, cfg, journal, state, jobs, &resumed)
 }
 
 /// Mutable campaign state threaded through the failure path (the same
@@ -473,17 +476,24 @@ impl Campaign<'_> {
 }
 
 /// The scheduler main loop, shared by fresh and resumed entry points.
+/// `resumed` lists the `(cycle, path)` checkpoints a resume requeued
+/// cells from; each is announced right after the segment's
+/// `campaign_start`.
 fn run_campaign(
     spec: &CampaignSpec,
     cfg: &SchedulerConfig,
     journal: Journal,
     state: Vec<CellStatus>,
     queue: Vec<Job>,
+    resumed: &[(u64, String)],
 ) -> Result<CampaignReport, String> {
     let started = Instant::now();
     let epoch = started;
     let backend_label = if spec.backends.len() == 1 { spec.backends[0].label() } else { "mixed" };
     cfg.progress.campaign_start("pac-serve", backend_label, spec.threads, state.len() as u64);
+    for (cycle, path) in resumed {
+        cfg.progress.resumed(*cycle, path);
+    }
     let mut c = Campaign {
         spec,
         cfg,

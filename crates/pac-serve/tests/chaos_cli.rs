@@ -6,6 +6,7 @@
 //! prove the *process* contract — exit codes, the chaos harness's
 //! seeded SIGKILL delivery, and bit-identical recovery across segments.
 
+use pac_obs::CampaignReport;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -26,16 +27,30 @@ const SPEC: &str = "name=cli-chaos\n\
                     quantum=20000\n\
                     threads=2\n";
 
+/// One cell on one worker with a small quantum: the cell checkpoints
+/// within its first lease, so its third journal append (after the
+/// campaign header and the lease) is a `ckpt` record.
+const ONE_CELL_SPEC: &str = "name=cli-resume\n\
+                             seed=0x7\n\
+                             cores=4\n\
+                             accesses=3000\n\
+                             backends=hmc\n\
+                             benches=stream\n\
+                             kinds=pac\n\
+                             faults=none\n\
+                             quantum=10000\n\
+                             threads=1\n";
+
 struct Sandbox {
     dir: PathBuf,
 }
 
 impl Sandbox {
-    fn new(tag: &str) -> Sandbox {
+    fn new(tag: &str, spec: &str) -> Sandbox {
         let dir = std::env::temp_dir().join(format!("pac-serve-cli-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create sandbox dir");
-        std::fs::write(dir.join("campaign.spec"), SPEC).expect("write spec");
+        std::fs::write(dir.join("campaign.spec"), spec).expect("write spec");
         Sandbox { dir }
     }
 
@@ -72,7 +87,7 @@ fn path_str(p: &Path) -> String {
 
 #[test]
 fn fresh_run_completes_and_verify_agrees() {
-    let sb = Sandbox::new("fresh");
+    let sb = Sandbox::new("fresh", SPEC);
     let out = run(&[
         "run",
         "--spec",
@@ -101,7 +116,7 @@ fn fresh_run_completes_and_verify_agrees() {
 
 #[test]
 fn chaos_mode_survives_seeded_sigkills() {
-    let sb = Sandbox::new("chaos");
+    let sb = Sandbox::new("chaos", SPEC);
     let out = run(&[
         "chaos",
         "--spec",
@@ -126,6 +141,51 @@ fn chaos_mode_survives_seeded_sigkills() {
         text.contains("double-counted    : 0"),
         "no cell may complete twice across segments:\n{text}"
     );
+}
+
+/// Kill a campaign right after its first checkpoint, resume it into the
+/// same progress stream, and require the two segments to tell the whole
+/// story: one cell started once, re-entered from its checkpoint, and
+/// finished once — bit-identical to an uninterrupted run, and ingested
+/// by the report aggregator without a single complaint.
+#[test]
+fn resume_from_checkpoint_extends_the_progress_stream() {
+    let sb = Sandbox::new("resume", ONE_CELL_SPEC);
+    let state = path_str(&sb.state());
+    let stream = path_str(&sb.dir.join("progress.jsonl"));
+
+    let killed = Command::new(EXE)
+        .args(["run", "--spec", &path_str(&sb.spec()), "--state-dir", &state])
+        .args(["--progress", &stream])
+        .env(pac_serve::chaos::KILL_ENV, "3")
+        .output()
+        .expect("spawn pac-serve");
+    assert_eq!(killed.status.code(), None, "the kill hook must SIGKILL the first segment");
+
+    let resumed = run(&["resume", "--state-dir", &state, "--progress", &stream]);
+    assert!(resumed.status.success(), "resume failed: {}", stderr_of(&resumed));
+    let verify = run(&["verify", "--state-dir", &state]);
+    let verdict = stdout_of(&verify);
+    assert!(verify.status.success(), "verify failed: {verdict}");
+    assert!(verdict.contains("1/1 verified, 0 mismatch(es)"), "{verdict}");
+
+    let text = std::fs::read_to_string(&stream).unwrap();
+    let count =
+        |ev: &str| text.lines().filter(|l| l.contains(&format!("\"ev\":\"{ev}\""))).count();
+    assert_eq!(count("campaign_start"), 2, "one per segment:\n{text}");
+    assert_eq!(count("cell_start"), 1, "the cell starts once, in segment one");
+    assert_eq!(count("resumed"), 1, "segment two re-enters at the checkpoint");
+    assert_eq!(count("cell_finish"), 1, "the cell finishes once, in segment two");
+    assert!(text.contains("\"status\":\"pass\""), "{text}");
+
+    let mut report = CampaignReport::new();
+    report.ingest_str(&text, "progress.jsonl");
+    assert!(report.errors().is_empty(), "{:?}", report.errors());
+    assert_eq!(report.total_cells(), 1);
+    assert_eq!(report.total_failures(), 0);
+    let md = report.render_markdown();
+    assert!(md.contains("2 stream segment(s)"), "{md}");
+    assert!(md.contains("1 resume(s)"), "{md}");
 }
 
 #[test]

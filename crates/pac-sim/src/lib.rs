@@ -36,7 +36,6 @@
 //! assert!(pac.transaction_bytes < raw.transaction_bytes);
 //! ```
 
-pub mod checkpoint;
 pub mod core;
 pub mod experiment;
 pub mod metrics;
@@ -45,7 +44,6 @@ pub mod replay;
 pub mod system;
 pub mod trace_json;
 
-pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
 pub use experiment::{run_bench, run_matrix, run_pair, run_specs, ExperimentConfig};
 pub use metrics::RunMetrics;
 pub use recovery::{RecoveryLayer, RecoveryReport, ResponseVerdict, StuckTxn, WatchdogAction};

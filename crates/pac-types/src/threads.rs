@@ -13,9 +13,9 @@
 //! thread or last on sixteen.
 
 /// Advance a splitmix64 state and return the next value. This is the
-/// repo-wide deterministic RNG (the chaos soak and the proptest shim use
-/// the identical constants); it passes through every bit of state, so
-/// distinct seeds give independent streams.
+/// repo-wide deterministic RNG (pac-serve's chaos kill points and the
+/// proptest shim use the identical constants); it passes through every
+/// bit of state, so distinct seeds give independent streams.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

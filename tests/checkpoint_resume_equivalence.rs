@@ -8,6 +8,7 @@
 //! uninterrupted run are indistinguishable by any statistic. Style
 //! follows `tests/skip_ahead_equivalence.rs`.
 
+use pac_repro::oracle::OracleConfig;
 use pac_repro::sim::{CoalescerKind, RunMetrics, RunProgress, SimSystem, Stepping};
 use pac_repro::types::{
     BackendKind, Cycle, FaultClass, FaultPlan, RasClass, RasPlan, RecoveryConfig, SimConfig,
@@ -202,57 +203,77 @@ fn hbm_checkpoint_mid_fence_assembly_resumes_bit_identically() {
     }
 }
 
-/// Kill-resume with an armed fault plan and the recovery layer active:
-/// the checkpoint lands while watchdog deadlines (and possibly backoff
-/// timers on retried transactions) are pending, and the resumed run
-/// must repair the same faults on the same cycles — final metrics,
-/// oracle verdicts, and recovery counters all bit-identical.
+/// Kill-resume with an armed fault plan and the recovery layer active,
+/// for every fault class: the checkpoint lands while watchdog deadlines
+/// (and possibly backoff timers on retried transactions) are pending,
+/// and the resumed run must repair the same faults on the same cycles —
+/// final metrics, oracle verdicts, recovery counters, and the injected
+/// fault count all bit-identical.
 fn faulted_kill_resume_roundtrips(cfg: SimConfig, meta: &str) {
     let seed = 11;
-    let plan = FaultPlan::new(FaultClass::DropResponse, 99);
     let recovery = RecoveryConfig::enabled();
-    let limit: Cycle = 10_000_000;
+    for class in FaultClass::ALL {
+        let plan = FaultPlan::new(class, 99);
+        // The delayed original holds a device slot until it emerges.
+        let limit: Cycle = 10_000_000 + plan.delay_cycles;
+        let meta = format!("{meta}/{}", class.label());
 
-    let build = |cfg: SimConfig| {
-        let mut sys = fresh_system(Bench::Stream, CoalescerKind::Pac, cfg, seed);
-        sys.attach_oracle();
-        sys.set_fault_plan(plan).expect("valid plan");
-        sys.set_recovery_config(recovery);
-        sys
-    };
+        let build = |cfg: SimConfig| {
+            let mut sys = fresh_system(Bench::Stream, CoalescerKind::Pac, cfg, seed);
+            let mut ocfg = OracleConfig::for_sim(&cfg);
+            if class == FaultClass::DelayResponse {
+                // A finite latency bound makes delays detectable; the
+                // same setting pac-serve arms on its delay cells.
+                ocfg.max_response_latency = Some(1_000_000);
+            }
+            sys.attach_oracle_with(ocfg);
+            sys.set_fault_plan(plan).expect("valid plan");
+            sys.set_recovery_config(recovery);
+            sys
+        };
 
-    // Uninterrupted reference.
-    let mut sys = build(cfg);
-    sys.begin_run(ACCESSES);
-    let base_progress = sys.advance(limit, Cycle::MAX);
-    let base = sys.finish_run();
-    let base_oracle = sys.oracle_report().expect("oracle attached");
-    let base_recovery = sys.recovery_report().expect("recovery armed");
-    assert!(
-        base_recovery.watchdog_fires > 0,
-        "fault plan must exercise the watchdog for this test to mean anything"
-    );
+        // Uninterrupted reference.
+        let mut sys = build(cfg);
+        sys.begin_run(ACCESSES);
+        let base_progress = sys.advance(limit, Cycle::MAX);
+        let base = sys.finish_run();
+        let base_oracle = sys.oracle_report().expect("oracle attached");
+        let base_recovery = sys.recovery_report().expect("recovery armed");
+        let base_faults = sys.faults_injected();
+        assert_eq!(base_progress, RunProgress::Done, "{meta}: reference did not drain");
+        assert!(base_oracle.violations.is_empty(), "{meta}: {}", base_oracle.summary());
+        assert!(base_faults > 0, "{meta}: fault plan never fired");
+        // Duplicates and corrupt addresses are repaired on arrival;
+        // only lost or late responses reach the watchdog.
+        if matches!(class, FaultClass::DropResponse | FaultClass::DelayResponse) {
+            assert!(
+                base_recovery.watchdog_fires > 0,
+                "{meta}: fault plan must exercise the watchdog for this test to mean anything"
+            );
+        }
 
-    // Killed and resumed.
-    let mut sys = build(cfg);
-    sys.begin_run(ACCESSES);
-    assert_eq!(sys.advance(limit, base.runtime_cycles / 2), RunProgress::Paused);
-    let bytes = sys.save_state(meta).expect("checkpoint with armed watchdog");
-    drop(sys);
-    let mut sys = SimSystem::restore(specs(Bench::Stream, &cfg, seed), &bytes, meta).unwrap();
-    let progress = sys.advance(sys.run_limit().min(limit), Cycle::MAX);
-    let resumed = sys.finish_run();
-    let resumed_oracle = sys.oracle_report().expect("oracle restored");
-    let resumed_recovery = sys.recovery_report().expect("recovery restored");
+        // Killed and resumed.
+        let mut sys = build(cfg);
+        sys.begin_run(ACCESSES);
+        assert_eq!(sys.advance(limit, base.runtime_cycles / 2), RunProgress::Paused, "{meta}");
+        let bytes = sys.save_state(&meta).expect("checkpoint with armed watchdog");
+        drop(sys);
+        let mut sys = SimSystem::restore(specs(Bench::Stream, &cfg, seed), &bytes, &meta).unwrap();
+        let progress = sys.advance(sys.run_limit().min(limit), Cycle::MAX);
+        let resumed = sys.finish_run();
+        let resumed_oracle = sys.oracle_report().expect("oracle restored");
+        let resumed_recovery = sys.recovery_report().expect("recovery restored");
 
-    assert_eq!(base_progress, progress, "termination mode diverged");
-    assert_eq!(base, resumed, "metrics diverged under faults + recovery");
-    assert_eq!(base_recovery, resumed_recovery, "recovery counters diverged");
-    assert_eq!(base_oracle.counts, resumed_oracle.counts, "oracle verdicts diverged");
-    assert_eq!(base_oracle.accepted_raw, resumed_oracle.accepted_raw);
-    assert_eq!(base_oracle.served_raw, resumed_oracle.served_raw);
-    assert_eq!(base_oracle.dispatches, resumed_oracle.dispatches);
-    assert_eq!(base_oracle.responses, resumed_oracle.responses);
+        assert_eq!(base_progress, progress, "{meta}: termination mode diverged");
+        assert_eq!(base, resumed, "{meta}: metrics diverged under faults + recovery");
+        assert_eq!(base_recovery, resumed_recovery, "{meta}: recovery counters diverged");
+        assert_eq!(base_faults, sys.faults_injected(), "{meta}: fault count diverged");
+        assert_eq!(base_oracle.counts, resumed_oracle.counts, "{meta}: oracle verdicts diverged");
+        assert_eq!(base_oracle.accepted_raw, resumed_oracle.accepted_raw);
+        assert_eq!(base_oracle.served_raw, resumed_oracle.served_raw);
+        assert_eq!(base_oracle.dispatches, resumed_oracle.dispatches);
+        assert_eq!(base_oracle.responses, resumed_oracle.responses);
+    }
 }
 
 #[test]
