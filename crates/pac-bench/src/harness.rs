@@ -88,7 +88,8 @@ impl Harness {
         if !self.replays.contains_key(&(bench, kind)) {
             self.trace(bench);
             let trace = &self.traces[&bench];
-            let m = replay_with(trace, kind, &self.cfg.sim, kind == CoalescerKind::Pac);
+            let pac = kind == CoalescerKind::Pac;
+            let m = replay_with(trace, kind, &self.cfg.sim, pac, self.cfg.stepping);
             self.replays.insert((bench, kind), m);
         }
         &self.replays[&(bench, kind)]

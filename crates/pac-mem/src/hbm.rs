@@ -544,17 +544,6 @@ impl Hbm {
         }
     }
 
-    /// Run the device forward until every in-flight request completes.
-    pub fn drain(&mut self, mut now: Cycle) -> (Vec<HmcResponse>, Cycle) {
-        let mut out = Vec::new();
-        while !self.is_idle() {
-            self.tick(now);
-            self.pop_responses(now, &mut out);
-            now += 1;
-        }
-        (out, now)
-    }
-
     /// Total bank conflicts across all channels.
     pub fn bank_conflicts(&self) -> u64 {
         self.channels.iter().map(|c| c.conflicts()).sum()
@@ -638,6 +627,7 @@ impl crate::MemoryBackend for Hbm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemoryBackend;
     use pac_types::AddressInterleave;
 
     fn device() -> Hbm {

@@ -19,8 +19,9 @@ pub struct ExperimentConfig {
     pub capture_trace: bool,
     /// Retain PAC stream-occupancy samples (Fig 11b).
     pub trace_occupancy: bool,
-    /// Clock-advance policy; skip-ahead by default, bit-identical to
-    /// the cycle-by-cycle reference (`PAC_STEPPING=every` forces it).
+    /// Clock-advance policy for the system run and for trace replay;
+    /// skip-ahead by default, bit-identical to the cycle-by-cycle
+    /// reference (`PAC_STEPPING=every` forces it).
     pub stepping: Stepping,
 }
 

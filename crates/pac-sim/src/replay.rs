@@ -16,27 +16,44 @@
 //! comparable served-id sets ([`replay_served`]) — request conservation
 //! must hold on each backend, and the completed sets must be identical
 //! even though every cycle number differs.
+//!
+//! Replay advances the clock like [`crate::SimSystem`]. Under
+//! [`Stepping::SkipAhead`], the default, it jumps from each settled
+//! cycle to the earliest of three events: the trace head's due cycle,
+//! the coalescer's `next_event` and the backend's `next_event`. A due
+//! head that `would_accept` refuses opens a blocked window. The
+//! every-cycle loop would re-offer that head once per cycle until the
+//! next coalescer or backend event, be refused each time, and stretch
+//! the schedule by one cycle each time. The jump charges those refusals
+//! in bulk with `note_refused_retries` and adds the window to the skew.
+//! Neither the due window nor the backlog hint can change inside a
+//! blocked window: `now` and the skew advance together, and only an
+//! accepted push reads the hint. `PAC_STEPPING=every` selects the
+//! every-cycle reference ([`Stepping::from_env`]), which produces
+//! identical [`RunMetrics`].
 
 use crate::metrics::RunMetrics;
-use crate::system::{CoalescerKind, TraceEntry};
+use crate::system::{CoalescerKind, Stepping, TraceEntry};
 use hmc_sim::{HmcRequest, HmcResponse};
 use pac_core::DispatchedRequest;
 use pac_types::{Cycle, MemRequest, SimConfig};
 
 /// Replay `trace` through the chosen coalescer and the configured
-/// memory backend.
+/// memory backend, stepping as [`Stepping::from_env`] selects.
 pub fn replay(trace: &[TraceEntry], kind: CoalescerKind, cfg: &SimConfig) -> RunMetrics {
-    replay_with(trace, kind, cfg, false)
+    replay_with(trace, kind, cfg, false, Stepping::from_env())
 }
 
-/// As [`replay`], optionally retaining PAC's occupancy trace (Fig 11b).
+/// As [`replay`], optionally retaining PAC's occupancy trace (Fig 11b),
+/// with an explicit clock-advance policy.
 pub fn replay_with(
     trace: &[TraceEntry],
     kind: CoalescerKind,
     cfg: &SimConfig,
     trace_occupancy: bool,
+    stepping: Stepping,
 ) -> RunMetrics {
-    replay_core(trace, kind, cfg, trace_occupancy, None)
+    replay_core(trace, kind, cfg, trace_occupancy, stepping, None)
 }
 
 /// As [`replay`], additionally returning every raw id the coalescer
@@ -51,8 +68,16 @@ pub fn replay_served(
     cfg: &SimConfig,
 ) -> (RunMetrics, Vec<u64>) {
     let mut served = Vec::new();
-    let m = replay_core(trace, kind, cfg, false, Some(&mut served));
+    let m = replay_core(trace, kind, cfg, false, Stepping::from_env(), Some(&mut served));
     (m, served)
+}
+
+/// The raw request the loop offers for trace entry `t` at cycle `now`.
+fn offer(t: &TraceEntry, id: u64, now: Cycle) -> MemRequest {
+    let mut req = MemRequest::miss(id, t.addr, t.op, t.core, now);
+    req.kind = t.kind;
+    req.data_bytes = t.data_bytes;
+    req
 }
 
 fn replay_core(
@@ -60,6 +85,7 @@ fn replay_core(
     kind: CoalescerKind,
     cfg: &SimConfig,
     trace_occupancy: bool,
+    stepping: Stepping,
     mut served: Option<&mut Vec<u64>>,
 ) -> RunMetrics {
     assert!(
@@ -86,6 +112,42 @@ fn replay_core(
         .max(10_000_000);
 
     while i < trace.len() || !coalescer.is_drained() || !mem.is_idle() || inflight > 0 {
+        if stepping == Stepping::SkipAhead {
+            // Between iterations every component is settled (ticked, and
+            // flushed once the trace is exhausted): jump to the earliest
+            // cycle on which the every-cycle loop would do more than tick
+            // idle components and re-offer a refused head. Landing no
+            // later than `limit - 1` trips the convergence assert below
+            // at the cycle the every-cycle loop trips it.
+            let mut wake = limit - 1;
+            let mut blocked = None;
+            if let Some(t) = trace.get(i) {
+                let due = t.cycle + skew;
+                if due > now {
+                    wake = wake.min(due);
+                } else {
+                    let req = offer(t, next_id, now);
+                    if coalescer.would_accept(&req) {
+                        wake = now;
+                    } else {
+                        blocked = Some(req);
+                    }
+                }
+            }
+            for c in [coalescer.next_event(now), mem.next_event(now)].into_iter().flatten() {
+                wake = wake.min(c);
+            }
+            if wake > now {
+                if let Some(req) = blocked {
+                    // One refused offer per jumped cycle, each of which
+                    // stretches the schedule by one.
+                    coalescer.note_refused_retries(&req, now, wake - now);
+                    skew += wake - now;
+                }
+                now = wake;
+            }
+        }
+
         // Offer every trace entry scheduled by now. The due-window end
         // advances monotonically, so the backlog hint is computed
         // incrementally (O(1) amortized, not O(backlog) per cycle).
@@ -97,10 +159,7 @@ fn replay_core(
         coalescer.hint_pending(due_end.saturating_sub(i + 1));
         while i < trace.len() && trace[i].cycle + skew <= now {
             let t = trace[i];
-            let mut req = MemRequest::miss(next_id, t.addr, t.op, t.core, now);
-            req.kind = t.kind;
-            req.data_bytes = t.data_bytes;
-            if coalescer.push_raw(req, now) {
+            if coalescer.push_raw(offer(&t, next_id, now), now) {
                 next_id += 1;
                 if t.kind != pac_types::RequestKind::Fence {
                     inflight += 1;
@@ -247,5 +306,35 @@ mod tests {
             sets.push(served);
         }
         assert_eq!(sets[0], sets[1], "backends completed different request sets");
+    }
+
+    #[test]
+    fn skip_ahead_serves_the_same_id_sequence_as_every_cycle() {
+        // Completion order and multiplicity, not just the set.
+        let cfg = ExperimentConfig {
+            accesses_per_core: 600,
+            capture_trace: true,
+            ..Default::default()
+        };
+        let (_, captured) = run_bench(Bench::Gs, CoalescerKind::Raw, &cfg);
+        // A cycle-0 flood keeps the head refused for long windows.
+        let flood: Vec<TraceEntry> = (0..400).map(|i| entry(0, 0x100000 + i * 4096)).collect();
+        for trace in [&captured, &flood] {
+            for kind in CoalescerKind::ALL {
+                let run = |stepping| {
+                    let mut served = Vec::new();
+                    let m = replay_core(trace, kind, &cfg.sim, false, stepping, Some(&mut served));
+                    (m, served)
+                };
+                let (m_every, every) = run(Stepping::EveryCycle);
+                let (m_skip, skip) = run(Stepping::SkipAhead);
+                let mut once = every.clone();
+                once.sort_unstable();
+                once.dedup();
+                assert_eq!(once.len(), every.len(), "{kind:?} served an id twice");
+                assert_eq!(every, skip, "{kind:?}: served-id sequences diverged");
+                assert_eq!(m_every, m_skip, "{kind:?}: metrics diverged");
+            }
+        }
     }
 }

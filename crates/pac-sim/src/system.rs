@@ -22,16 +22,17 @@ use std::collections::{HashMap, VecDeque};
 
 pub use pac_types::{IdHash, IdHasher};
 
-/// Clock-advance policy for [`SimSystem::run`].
+/// Clock-advance policy for [`SimSystem::run`] and trace replay
+/// ([`crate::replay_with`]).
 ///
-/// Skip-ahead is the production mode: after each tick the system asks
+/// Skip-ahead is the production mode: after each tick the loop asks
 /// every component for its earliest upcoming event cycle and jumps the
 /// clock straight there. Component events are conservative lower
 /// bounds — an early (no-op) tick is harmless because every component
 /// keeps absolute-cycle bookkeeping, while a missed cycle would lose a
 /// per-cycle side effect — so skip-ahead produces metrics bit-identical
 /// to the cycle-by-cycle reference (regression-tested in
-/// `tests/proptests.rs`).
+/// `tests/skip_ahead_equivalence.rs` and `tests/proptests.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Stepping {
     /// Tick every cycle: the reference mode skip-ahead is tested against.
@@ -44,6 +45,9 @@ pub enum Stepping {
 impl Stepping {
     /// The default policy, overridable via `PAC_STEPPING=every` (or
     /// `cycle`) for A/B wall-clock comparisons without recompiling.
+    /// [`SimSystem::new`], [`crate::replay`] and [`crate::replay_served`]
+    /// all read it, so the one variable switches both the system run and
+    /// trace replay to the every-cycle reference.
     pub fn from_env() -> Self {
         match std::env::var("PAC_STEPPING").as_deref() {
             Ok("every") | Ok("cycle") | Ok("every-cycle") => Stepping::EveryCycle,

@@ -9,7 +9,10 @@
 //!
 //! Malformed input never panics: every failure surfaces as a
 //! [`TraceJsonError`] naming the offending line and column, so a
-//! hand-edited or truncated trace file reports *where* it broke.
+//! hand-edited or truncated trace file reports *where* it broke. Entry
+//! cycles must be non-decreasing, as replay's due window assumes and as
+//! captured traces are; an entry stamped before its predecessor is
+//! refused with an error naming it.
 
 use crate::system::TraceEntry;
 use pac_types::{Op, RequestKind};
@@ -97,7 +100,23 @@ impl Parser<'_> {
             };
         }
         loop {
-            out.push(self.parse_entry()?);
+            self.skip_ws();
+            let start = self.pos;
+            let entry = self.parse_entry()?;
+            if let Some(prev) = out.last() {
+                if entry.cycle < prev.cycle {
+                    let msg = format!(
+                        "entry {} has cycle {}, below entry {}'s cycle {}: \
+                         trace cycles must be non-decreasing",
+                        out.len(),
+                        entry.cycle,
+                        out.len() - 1,
+                        prev.cycle
+                    );
+                    return Err(self.err_at(start, &msg));
+                }
+            }
+            out.push(entry);
             self.skip_ws();
             if self.eat(b',') {
                 continue;
@@ -223,13 +242,17 @@ impl Parser<'_> {
     }
 
     fn err(&self, msg: &str) -> TraceJsonError {
+        self.err_at(self.pos, msg)
+    }
+
+    fn err_at(&self, pos: usize, msg: &str) -> TraceJsonError {
         // Locate the offset in (line, column) terms only now, on the
         // cold path; the hot parse loop never tracks line state.
-        let upto = self.pos.min(self.bytes.len());
+        let upto = pos.min(self.bytes.len());
         let line = 1 + self.bytes[..upto].iter().filter(|&&b| b == b'\n').count();
         let line_start =
             self.bytes[..upto].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        TraceJsonError { line, column: upto - line_start + 1, byte: self.pos, msg: msg.to_owned() }
+        TraceJsonError { line, column: upto - line_start + 1, byte: pos, msg: msg.to_owned() }
     }
 }
 
@@ -293,6 +316,24 @@ mod tests {
         assert!(err.to_string().contains("line 3"), "{err}");
         // Column points at the bad token, not the line start.
         assert!(err.column > 1, "{err}");
+    }
+
+    #[test]
+    fn decreasing_cycles_name_the_offending_entry() {
+        let entry = |cycle: u64| {
+            format!(
+                "{{\"cycle\":{cycle},\"addr\":64,\"op\":\"Load\",\"kind\":\"Miss\",\
+                 \"data_bytes\":8,\"core\":0}}"
+            )
+        };
+        let text = format!("[\n  {},\n  {},\n  {}\n]", entry(10), entry(10), entry(5));
+        let err = from_json(&text).expect_err("decreasing cycle");
+        assert_eq!((err.line, err.column), (4, 3), "points at the entry's brace: {err}");
+        assert!(err.msg.contains("entry 2 has cycle 5"), "{err}");
+        assert!(err.msg.contains("entry 1's cycle 10"), "{err}");
+        // Equal cycles are a same-cycle burst, not an error.
+        let burst = format!("[{},{}]", entry(10), entry(10));
+        assert_eq!(from_json(&burst).expect("equal cycles parse").len(), 2);
     }
 
     #[test]

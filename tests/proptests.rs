@@ -209,6 +209,49 @@ proptest! {
         prop_assert_eq!(trace_slow, trace_fast, "traces diverged for {:?}/{:?}", bench, kind);
     }
 
+    /// Trace replay keeps the same promise on synthetic traces: random
+    /// request kinds, same-cycle bursts and idle gaps of thousands of
+    /// cycles, through any coalescer on either backend.
+    #[test]
+    fn replay_skip_ahead_equivalent_on_random_traces(
+        entries in prop::collection::vec((0u8..8, 0u64..4000, 0u64..256, 0u8..64, 0u8..16), 1..300),
+        kind_idx in 0usize..3,
+        hbm in any::<bool>(),
+    ) {
+        use pac_repro::sim::{replay_with, CoalescerKind, Stepping, TraceEntry};
+        use pac_repro::types::{BackendKind, RequestKind, SimConfig};
+        let mut cycle = 0;
+        let trace: Vec<TraceEntry> = entries
+            .iter()
+            .map(|&(gap, span, page, block, class)| {
+                // Half the entries join a same-cycle burst (long enough
+                // to fill the MSHRs and stage 1); one in eight follows
+                // an idle gap of thousands of cycles.
+                cycle += match gap {
+                    0..=3 => 0,
+                    4 | 5 => span % 4,
+                    6 => span % 64,
+                    _ => 1000 + span,
+                };
+                let kind = match class {
+                    0 => RequestKind::Fence,
+                    1 => RequestKind::Atomic,
+                    2 | 3 => RequestKind::WriteBack,
+                    _ => RequestKind::Miss,
+                };
+                let op = if class % 3 == 0 { Op::Store } else { Op::Load };
+                let core = if kind == RequestKind::WriteBack { u8::MAX } else { class % 8 };
+                let addr = block_addr(page + 0x100, block);
+                TraceEntry { cycle, addr, op, kind, data_bytes: 8, core }
+            })
+            .collect();
+        let kind = CoalescerKind::ALL[kind_idx];
+        let sim = SimConfig::for_backend(if hbm { BackendKind::Hbm } else { BackendKind::Hmc });
+        let slow = replay_with(&trace, kind, &sim, true, Stepping::EveryCycle);
+        let fast = replay_with(&trace, kind, &sim, true, Stepping::SkipAhead);
+        prop_assert_eq!(slow, fast, "replay metrics diverged for {:?} (hbm: {})", kind, hbm);
+    }
+
     /// DBSCAN invariants: points in the same cluster are chained within
     /// eps; cluster member counts sum to total minus noise.
     #[test]

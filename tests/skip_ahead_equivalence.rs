@@ -6,10 +6,13 @@
 //! to the retained cycle-by-cycle reference (`Stepping::EveryCycle`).
 //! These tests pin that contract for every coalescer kind across a
 //! spread of benchmarks with fixed seeds; `tests/proptests.rs` extends
-//! the same assertion to randomized short workloads.
+//! the same assertion to randomized short workloads. Trace replay
+//! (`replay_with`, the figure path) makes the same promise and is pinned
+//! here too, on captured and hand-built traces.
 
-use pac_repro::sim::{run_bench, CoalescerKind, ExperimentConfig, RunMetrics, Stepping};
-use pac_repro::sim::{SimSystem, TraceEntry};
+use pac_repro::sim::{replay_with, run_bench, CoalescerKind, ExperimentConfig, RunMetrics};
+use pac_repro::sim::{SimSystem, Stepping, TraceEntry};
+use pac_repro::types::{BackendKind, Op, RequestKind, SimConfig};
 use pac_repro::workloads::multiproc::single_process;
 use pac_repro::workloads::Bench;
 
@@ -88,4 +91,84 @@ fn skip_ahead_preserves_drain_cycle() {
         assert_eq!(m_slow.runtime_cycles, m_fast.runtime_cycles, "{kind:?}: drain cycle moved");
         assert_eq!(slow.now(), fast.now(), "{kind:?}: final clock differs");
     }
+}
+
+/// Replay `trace` under both stepping modes on both backends and
+/// require identical metrics, Fig 11b occupancy samples included.
+fn assert_replay_equivalent(what: &str, trace: &[TraceEntry]) {
+    for backend in BackendKind::ALL {
+        let sim = SimConfig::for_backend(backend);
+        for &kind in &KINDS {
+            let slow = replay_with(trace, kind, &sim, true, Stepping::EveryCycle);
+            let fast = replay_with(trace, kind, &sim, true, Stepping::SkipAhead);
+            assert_eq!(slow, fast, "{what}/{kind:?}/{backend:?}: replay metrics diverged");
+        }
+    }
+}
+
+/// Every benchmark's captured trace, at a small budget, captured the
+/// way the figure harness captures (deep MSHR file and MAQ, so the
+/// recorded timing reflects the cores).
+#[test]
+fn replay_skip_ahead_matches_every_cycle_on_captured_traces() {
+    let mut cfg = ExperimentConfig {
+        accesses_per_core: 300,
+        capture_trace: true,
+        stepping: Stepping::SkipAhead,
+        ..Default::default()
+    };
+    cfg.sim.coalescer.mshrs = 256;
+    cfg.sim.coalescer.maq_entries = 256;
+    for bench in Bench::ALL {
+        let (_, trace) = run_bench(bench, CoalescerKind::Raw, &cfg);
+        assert!(!trace.is_empty(), "{bench:?}: empty capture");
+        assert_replay_equivalent(&format!("{bench:?}"), &trace);
+    }
+}
+
+fn load(cycle: u64, addr: u64) -> TraceEntry {
+    TraceEntry { cycle, addr, op: Op::Load, kind: RequestKind::Miss, data_bytes: 8, core: 0 }
+}
+
+/// A cycle-0 flood far larger than the buffers: the head is refused for
+/// long stretches, so nearly every jump is a blocked window.
+#[test]
+fn replay_skip_ahead_matches_every_cycle_under_a_flood() {
+    let trace: Vec<TraceEntry> = (0..2000).map(|i| load(0, 0x100000 + i * 4096)).collect();
+    assert_replay_equivalent("flood", &trace);
+}
+
+/// Fences, atomics, stores, write-backs and same-cycle bursts, separated
+/// by idle gaps from a few cycles to tens of thousands.
+#[test]
+fn replay_skip_ahead_matches_every_cycle_on_mixed_kinds() {
+    let mut trace = Vec::new();
+    let mut push = |cycle, addr, op, kind, core| {
+        trace.push(TraceEntry { cycle, addr, op, kind, data_bytes: 8, core });
+    };
+    for burst in 0..6u64 {
+        let base = burst * burst * 7_000;
+        let page = 0x40_0000 + burst * 0x3000;
+        // A same-cycle burst over adjacent lines of one page, with a
+        // store and a write-back among the loads.
+        for line in 0..12u64 {
+            let op = if line % 5 == 3 { Op::Store } else { Op::Load };
+            push(base, page + line * 64, op, RequestKind::Miss, (line % 4) as u8);
+        }
+        push(base, page + 0x1000, Op::Store, RequestKind::WriteBack, u8::MAX);
+        // A fence and an atomic in the middle of a second burst.
+        push(base + 3, page + 0x800, Op::Load, RequestKind::Miss, 1);
+        push(base + 3, 0, Op::Load, RequestKind::Fence, 1);
+        push(base + 3, page + 0x840, Op::Store, RequestKind::Atomic, 2);
+        push(base + 3, page + 0x880, Op::Load, RequestKind::Miss, 2);
+        // Stragglers a few cycles apart, then a scattered store burst.
+        for k in 0..8u64 {
+            push(base + 40 + 3 * k, page + 0x2000 + k * 64, Op::Load, RequestKind::Miss, 3);
+        }
+        for k in 0..16u64 {
+            push(base + 200, 0x800_0000 + k * 0x1_0000, Op::Store, RequestKind::Miss, 0);
+        }
+        push(base + 201, page + 0x2040, Op::Store, RequestKind::Atomic, 3);
+    }
+    assert_replay_equivalent("mixed", &trace);
 }
