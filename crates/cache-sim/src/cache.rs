@@ -52,19 +52,102 @@ pub struct SetAssocCache {
     pub misses: u64,
 }
 
-pac_types::snapshot_fields!(SetAssocCache { cfg, sets, ways, tags, lru, clock, accesses, misses });
+/// Set count and line count of a geometry, or `None` where
+/// [`SetAssocCache::new`] refuses it.
+fn geometry(cfg: &CacheConfig) -> Option<(u64, usize)> {
+    let set_bytes = u64::from(cfg.ways).checked_mul(cfg.line_bytes).filter(|&b| b > 0)?;
+    let sets = cfg.capacity_bytes / set_bytes;
+    let lines = usize::try_from(sets).ok()?.checked_mul(cfg.ways as usize)?;
+    sets.is_power_of_two().then_some((sets, lines))
+}
+
+// A checkpoint writes the lines as alternating runs: a count of
+// never-filled lines (tag and LRU words both zero), then a count of
+// lines each followed by its two words, until every line is covered. A
+// cold cache costs one count; the set and way counts are rebuilt from
+// `cfg`.
+impl pac_types::Snapshot for SetAssocCache {
+    fn save(&self, w: &mut pac_types::SnapWriter) {
+        self.cfg.save(w);
+        self.clock.save(w);
+        self.accesses.save(w);
+        self.misses.save(w);
+        let cold = |i: usize| self.tags[i] == 0 && self.lru[i] == 0;
+        let n = self.tags.len();
+        let mut i = 0;
+        while i < n {
+            let start = i;
+            while i < n && cold(i) {
+                i += 1;
+            }
+            w.u64((i - start) as u64);
+            if i == n {
+                break;
+            }
+            let start = i;
+            while i < n && !cold(i) {
+                i += 1;
+            }
+            w.u64((i - start) as u64);
+            for j in start..i {
+                w.u64(self.tags[j]);
+                w.u64(self.lru[j]);
+            }
+        }
+    }
+
+    fn load(r: &mut pac_types::SnapReader<'_>) -> Result<Self, pac_types::SnapError> {
+        use pac_types::SnapError;
+        let cfg = CacheConfig::load(r)?;
+        let (sets, lines) =
+            geometry(&cfg).ok_or_else(|| SnapError::Corrupt(format!("cache geometry {cfg:?}")))?;
+        let clock = u64::load(r)?;
+        let accesses = u64::load(r)?;
+        let misses = u64::load(r)?;
+        let zeroed = || {
+            let mut v = Vec::new();
+            v.try_reserve_exact(lines)
+                .map_err(|_| SnapError::Corrupt(format!("{lines} cache lines do not fit")))?;
+            v.resize(lines, 0u64);
+            Ok::<_, SnapError>(v)
+        };
+        let (mut tags, mut lru) = (zeroed()?, zeroed()?);
+        let overrun = |what: &str, run: usize, at: usize| {
+            SnapError::Corrupt(format!("{what} run of {run} at line {at} overruns {lines} lines"))
+        };
+        let mut i = 0;
+        while i < lines {
+            let cold = usize::load(r)?;
+            if cold > lines - i {
+                return Err(overrun("cold", cold, i));
+            }
+            i += cold;
+            if i == lines {
+                break;
+            }
+            let live = usize::load(r)?;
+            if live == 0 || live > lines - i {
+                return Err(overrun("live", live, i));
+            }
+            for j in i..i + live {
+                tags[j] = r.u64()?;
+                lru[j] = r.u64()?;
+            }
+            i += live;
+        }
+        Ok(SetAssocCache { cfg, sets, ways: cfg.ways as usize, tags, lru, clock, accesses, misses })
+    }
+}
 
 impl SetAssocCache {
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = cfg.sets();
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        let ways = cfg.ways as usize;
+        let (sets, lines) = geometry(&cfg).expect("set count must be a power of two");
         SetAssocCache {
             cfg,
             sets,
-            ways,
-            tags: vec![0; (sets as usize) * ways],
-            lru: vec![0; (sets as usize) * ways],
+            ways: cfg.ways as usize,
+            tags: vec![0; lines],
+            lru: vec![0; lines],
             clock: 0,
             accesses: 0,
             misses: 0,
@@ -360,6 +443,87 @@ mod tests {
                         "write-back of never-written line {victim:#x}");
                 }
             }
+        }
+    }
+
+    fn saved(c: &SetAssocCache) -> Vec<u8> {
+        let mut w = pac_types::SnapWriter::new();
+        pac_types::Snapshot::save(c, &mut w);
+        w.into_bytes()
+    }
+
+    fn loaded(bytes: &[u8]) -> Result<SetAssocCache, pac_types::SnapError> {
+        let mut r = pac_types::SnapReader::new(bytes);
+        let c = <SetAssocCache as pac_types::Snapshot>::load(&mut r)?;
+        r.finish()?;
+        Ok(c)
+    }
+
+    /// Bytes of the header a saved cache starts with: its config and
+    /// three counters.
+    fn header(cfg: CacheConfig) -> Vec<u8> {
+        let mut w = pac_types::SnapWriter::new();
+        pac_types::Snapshot::save(&cfg, &mut w);
+        for _ in 0..3 {
+            w.u64(0);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn snapshot_runs_skip_cold_lines_and_roundtrip() {
+        let cold = SetAssocCache::new(pac_types::CacheConfig::paper_l2());
+        let bytes = saved(&cold);
+        assert_eq!(bytes.len(), header(pac_types::CacheConfig::paper_l2()).len() + 8);
+
+        let mut c = tiny();
+        for addr in [0x000, 0x1c0, 0x040, 0x100] {
+            c.access(addr, addr == 0x040);
+        }
+        c.fill_complete(0x040);
+        let bytes = saved(&c);
+        let back = loaded(&bytes).expect("clean runs load");
+        assert_eq!((back.tags.clone(), back.lru.clone()), (c.tags.clone(), c.lru.clone()));
+        assert_eq!((back.sets, back.ways, back.clock), (c.sets, c.ways, c.clock));
+        assert_eq!(saved(&back), bytes);
+
+        // A full cache costs its two words per line plus two counts.
+        for slot in 0..8u64 {
+            c.access_immediate(slot * 64 + 0x1000, false);
+        }
+        assert!(c.tags.iter().all(|&t| t != 0));
+        assert_eq!(saved(&c).len(), header(c.cfg).len() + 16 + 16 * c.tags.len());
+        assert_eq!(saved(&loaded(&saved(&c)).unwrap()), saved(&c));
+    }
+
+    #[test]
+    fn corrupt_runs_and_geometries_are_refused() {
+        use pac_types::SnapError;
+        let cfg = tiny().cfg; // 8 lines
+        let with = |cfg: CacheConfig, runs: &[u64]| {
+            let mut bytes = header(cfg);
+            for &v in runs {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            loaded(&bytes)
+        };
+        assert!(with(cfg, &[8]).is_ok());
+        assert!(with(cfg, &[7, 1, 5, 6]).is_ok());
+        let corrupt =
+            |res: Result<SetAssocCache, SnapError>| matches!(res, Err(SnapError::Corrupt(_)));
+        assert!(corrupt(with(cfg, &[9])), "cold run past the end");
+        assert!(corrupt(with(cfg, &[6, 3])), "live run past the end");
+        assert!(corrupt(with(cfg, &[u64::MAX])), "cold run overflows");
+        assert!(corrupt(with(cfg, &[2, 0, 1])), "empty live run");
+        assert_eq!(with(cfg, &[4]).err(), Some(SnapError::Eof), "runs end short");
+        for bad in [
+            CacheConfig { ways: 0, ..cfg },
+            CacheConfig { line_bytes: 0, ..cfg },
+            CacheConfig { capacity_bytes: 3 * 128, ..cfg },
+            CacheConfig { capacity_bytes: 64, ..cfg },
+            CacheConfig { ways: u32::MAX, line_bytes: u64::MAX, ..cfg },
+        ] {
+            assert!(corrupt(with(bad, &[8])), "{bad:?}");
         }
     }
 

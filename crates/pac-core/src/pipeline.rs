@@ -92,9 +92,9 @@ pub struct CoalescingNetwork {
 
 // The coalescing table is pure precomputed combinational logic keyed
 // only by the protocol, so a checkpoint stores the protocol tag and the
-// look-up counter and rebuilds the table on restore. Scratch buffers are
-// drained within every `tick`, hence provably empty at any checkpoint
-// boundary; the tracer is re-attached by the caller.
+// look-up counter and takes the process's shared table on restore.
+// Scratch buffers are drained within every `tick`, hence provably empty
+// at any checkpoint boundary; the tracer is re-attached by the caller.
 impl pac_types::Snapshot for CoalescingNetwork {
     fn save(&self, w: &mut pac_types::SnapWriter) {
         self.protocol.save(w);

@@ -13,6 +13,8 @@
 //! protocol whose maximum request spans fewer blocks than the chunk width
 //! (HMC 1.0: 2 of 4) splits long runs.
 
+use std::sync::Mutex;
+
 /// One contiguous run of requested blocks within a chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Run {
@@ -60,13 +62,46 @@ pub fn runs_of(pattern: u16, width: u32, max_len: u32) -> Vec<Run> {
         .collect()
 }
 
-/// The precomputed look-up table: pattern → runs.
+/// The precomputed look-up table: pattern → runs. The entries are
+/// immutable and shared by every table of the same geometry in the
+/// process; only the look-up counter is per instance.
 #[derive(Debug)]
 pub struct CoalescingTable {
-    entries: Vec<Vec<Run>>,
+    entries: &'static Entries,
     width: u32,
     /// Look-ups served (1 pipeline cycle each, Sec 3.3.3).
     pub lookups: u64,
+}
+
+/// Every pattern's runs, concatenated: pattern `p`'s runs are
+/// `runs[starts[p]..starts[p + 1]]`.
+#[derive(Debug)]
+struct Entries {
+    starts: Vec<u32>,
+    runs: Vec<Run>,
+}
+
+/// The entries for `(width, max_len)`, built on first use. HBM's 16-bit
+/// table holds 65 536 patterns, so building it once per process rather
+/// than once per coalescer (and per restore) matters.
+fn shared_entries(width: u32, max_len: u32) -> &'static Entries {
+    type Built = Vec<((u32, u32), &'static Entries)>;
+    static BUILT: Mutex<Built> = Mutex::new(Vec::new());
+    // A panic while building leaves the list as it was: still valid.
+    let mut built = BUILT.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(&(_, entries)) = built.iter().find(|(key, _)| *key == (width, max_len)) {
+        return entries;
+    }
+    let mut starts = Vec::with_capacity((1 << width) + 1);
+    let mut runs = Vec::new();
+    starts.push(0);
+    for p in 0u32..1 << width {
+        runs.extend(runs_of(p as u16, width, max_len));
+        starts.push(runs.len() as u32);
+    }
+    let entries: &'static Entries = Box::leak(Box::new(Entries { starts, runs }));
+    built.push(((width, max_len), entries));
+    entries
 }
 
 impl CoalescingTable {
@@ -74,10 +109,7 @@ impl CoalescingTable {
     /// request may cover at most `max_len` blocks.
     pub fn new(width: u32, max_len: u32) -> Self {
         assert!((1..=16).contains(&width), "sequence width must be 1..=16");
-        let entries = (0u32..1 << width)
-            .map(|p| runs_of(p as u16, width, max_len))
-            .collect();
-        CoalescingTable { entries, width, lookups: 0 }
+        CoalescingTable { entries: shared_entries(width, max_len), width, lookups: 0 }
     }
 
     /// Table for a protocol's chunk geometry.
@@ -92,14 +124,16 @@ impl CoalescingTable {
 
     /// Number of table entries (2^width).
     pub fn entries(&self) -> usize {
-        self.entries.len()
+        self.entries.starts.len() - 1
     }
 
     /// Look up the runs for `pattern`.
     #[inline]
     pub fn lookup(&mut self, pattern: u16) -> &[Run] {
         self.lookups += 1;
-        &self.entries[pattern as usize]
+        let Entries { starts, runs } = self.entries;
+        let p = pattern as usize;
+        &runs[starts[p] as usize..starts[p + 1] as usize]
     }
 }
 
@@ -180,6 +214,18 @@ mod tests {
         assert_eq!(t.lookup(0b0110), &[Run { start: 1, len: 2 }]);
         t.lookup(0b0001);
         assert_eq!(t.lookups, 2);
+    }
+
+    #[test]
+    fn tables_of_one_geometry_share_entries_and_count_apart() {
+        let mut a = CoalescingTable::for_protocol(MemoryProtocol::Hbm);
+        let b = CoalescingTable::for_protocol(MemoryProtocol::Hbm);
+        assert!(std::ptr::eq(a.entries, b.entries));
+        assert!(!std::ptr::eq(a.entries, CoalescingTable::new(16, 4).entries));
+        for p in 0..=u16::MAX {
+            assert_eq!(a.lookup(p), runs_of(p, 16, 16).as_slice(), "pattern {p:016b}");
+        }
+        assert_eq!((a.lookups, b.lookups), (65_536, 0));
     }
 
     #[test]

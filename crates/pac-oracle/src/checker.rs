@@ -15,10 +15,10 @@
 //! right invariant fired.
 
 use crate::invariant::{Invariant, Violation};
+use crate::ledger::IdLedger;
 use crate::model::{FunctionalModel, ServeError};
 use pac_core::DispatchedRequest;
 use pac_types::{Cycle, MemRequest, Op, RequestKind, SimConfig, CACHE_LINE_BYTES, PAGE_BYTES};
-use std::collections::HashMap;
 
 /// Checker parameters, derived from the simulated system's geometry.
 #[derive(Debug, Clone, Copy)]
@@ -123,12 +123,20 @@ impl OracleReport {
     }
 }
 
+/// `ids` in ascending order, so a sample of the first few names the
+/// same ids on every run, resumed or not.
+fn smallest_first(ids: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut ids: Vec<u64> = ids.collect();
+    ids.sort_unstable();
+    ids
+}
+
 /// The lockstep checker. See the module docs for the driving protocol.
 #[derive(Debug)]
 pub struct LockstepChecker {
     cfg: OracleConfig,
     model: FunctionalModel,
-    dispatches: HashMap<u64, DispatchRecord>,
+    dispatches: IdLedger<DispatchRecord>,
     violations: Vec<Violation>,
     counts: [u64; Invariant::ALL.len()],
     /// Last structural-integrity detail recorded; suppresses the flood a
@@ -149,7 +157,7 @@ impl LockstepChecker {
         LockstepChecker {
             cfg,
             model: FunctionalModel::new(),
-            dispatches: HashMap::new(),
+            dispatches: IdLedger::default(),
             violations: Vec::new(),
             counts: [0; Invariant::ALL.len()],
             last_structural: None,
@@ -248,7 +256,7 @@ impl LockstepChecker {
     /// coalescer's `complete` fans it out.
     pub fn note_response(&mut self, id: u64, addr: u64, bytes: u64, op: Op, now: Cycle) {
         self.responses += 1;
-        let Some(rec) = self.dispatches.get_mut(&id) else {
+        let Some(rec) = self.dispatches.get_mut(id) else {
             self.record(
                 Invariant::SpuriousResponse,
                 now,
@@ -291,15 +299,15 @@ impl LockstepChecker {
     /// The raw-request fan-out of one completion: the coalescer reported
     /// `satisfied` raw ids for `dispatch_id`.
     pub fn note_completion(&mut self, dispatch_id: u64, satisfied: &[u64], now: Cycle) {
-        let rec = self.dispatches.get(&dispatch_id).copied();
+        let rec = self.dispatches.get(dispatch_id).copied();
         for &raw_id in satisfied {
             // Coverage is checked against the dispatch ledger; exactly-
             // once against the functional model.
             let serve = match rec {
-                Some(r) => self.model.serve(raw_id, r.addr, r.bytes, now),
+                Some(r) => self.model.serve(raw_id, r.addr, r.bytes),
                 // No ledger entry: still enforce exactly-once with an
                 // infinite span.
-                None => self.model.serve(raw_id, 0, u64::MAX, now),
+                None => self.model.serve(raw_id, 0, u64::MAX),
             };
             match serve {
                 Ok(()) => {}
@@ -361,33 +369,29 @@ impl LockstepChecker {
             return;
         }
         self.finalized = true;
-        let unserved: Vec<u64> = self.model.unserved().map(|(&id, _)| id).collect();
+        let unserved = smallest_first(self.model.unserved().map(|(&id, _)| id));
         if !unserved.is_empty() {
-            let mut sample: Vec<u64> = unserved.iter().copied().take(8).collect();
-            sample.sort_unstable();
             self.record(
                 Invariant::ResponseConservation,
                 now,
                 format!(
                     "{} accepted raw requests never satisfied (e.g. {:?})",
                     unserved.len(),
-                    sample
+                    &unserved[..unserved.len().min(8)]
                 ),
             );
         }
-        let lost: Vec<u64> = self
-            .dispatches
-            .iter()
-            .filter(|(_, r)| !r.responded)
-            .map(|(&id, _)| id)
-            .collect();
+        let lost =
+            smallest_first(self.dispatches.iter().filter(|(_, r)| !r.responded).map(|(id, _)| id));
         if !lost.is_empty() {
-            let mut sample: Vec<u64> = lost.iter().copied().take(8).collect();
-            sample.sort_unstable();
             self.record(
                 Invariant::LostResponse,
                 now,
-                format!("{} dispatches never answered (e.g. {:?})", lost.len(), sample),
+                format!(
+                    "{} dispatches never answered (e.g. {:?})",
+                    lost.len(),
+                    &lost[..lost.len().min(8)]
+                ),
             );
         }
     }
@@ -575,6 +579,48 @@ mod tests {
         c.note_response(9, 0, 64, Op::Load, 5);
         assert_eq!(c.total_violations(), 2);
         assert_eq!(c.latest_violation().unwrap().invariant, Invariant::SpuriousResponse);
+    }
+
+    /// More than 8 unserved raw requests and unanswered dispatches, with
+    /// a save/restore before `finalize`: both the original and the
+    /// restored checker name the 8 smallest ids.
+    #[test]
+    fn finalize_samples_the_smallest_ids_across_a_snapshot() {
+        use pac_types::{SnapReader, SnapWriter, Snapshot};
+        let mut c = checker();
+        for id in (0..20).rev() {
+            c.note_push(&miss(id, 0x9040), true, true, 0);
+        }
+        let ids = [0, 1, 2, 3, 1 << 63, 4, 5, 30, 6, 7, 8, (1 << 63) | 1, 9, 10, 11, 12];
+        for &id in &ids {
+            c.note_dispatch(&dispatch(id, 0x9040, 64, 1), 1);
+        }
+        for id in [0, 2, 30] {
+            c.note_response(id, 0x9040, 64, Op::Load, 5);
+        }
+        c.note_completion(0, &[0, 3, 19], 5);
+
+        let mut w = SnapWriter::new();
+        c.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = LockstepChecker::load(&mut SnapReader::new(&bytes)).unwrap();
+        let mut w = SnapWriter::new();
+        restored.save(&mut w);
+        assert_eq!(w.into_bytes(), bytes);
+
+        c.finalize(100);
+        restored.finalize(100);
+        let details = |c: &LockstepChecker| -> Vec<String> {
+            c.report().violations.iter().map(|v| v.detail.clone()).collect()
+        };
+        assert_eq!(details(&c), details(&restored));
+        assert_eq!(
+            details(&c),
+            vec![
+                "17 accepted raw requests never satisfied (e.g. [1, 2, 4, 5, 6, 7, 8, 9])",
+                "13 dispatches never answered (e.g. [1, 3, 4, 5, 6, 7, 8, 9])",
+            ]
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 pub mod checker;
 pub mod invariant;
+mod ledger;
 pub mod model;
 
 pub use checker::{LockstepChecker, OracleConfig, OracleReport};

@@ -8,8 +8,8 @@
 //! Everything the lockstep checker asserts about conservation reduces to
 //! bookkeeping against this model.
 
-use pac_types::{Cycle, MemRequest, Op};
-use std::collections::HashMap;
+use pac_types::{Cycle, IdHash, MemRequest, Op};
+use std::collections::{HashMap, HashSet};
 
 /// One accepted-but-unserved raw request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +37,9 @@ pub enum ServeError {
 /// The obviously-correct functional memory model.
 #[derive(Debug, Default)]
 pub struct FunctionalModel {
-    pending: HashMap<u64, PendingRaw>,
-    served: HashMap<u64, Cycle>,
+    pending: HashMap<u64, PendingRaw, IdHash>,
+    /// Ids served so far; only membership is ever asked.
+    served: HashSet<u64, IdHash>,
     accepted: u64,
 }
 
@@ -60,10 +61,10 @@ impl FunctionalModel {
     }
 
     /// Record that the span `[addr, addr + bytes)` served raw request
-    /// `raw_id` at `now`. Exactly-once and coverage are enforced here.
-    pub fn serve(&mut self, raw_id: u64, addr: u64, bytes: u64, now: Cycle) -> Result<(), ServeError> {
+    /// `raw_id`. Exactly-once and coverage are enforced here.
+    pub fn serve(&mut self, raw_id: u64, addr: u64, bytes: u64) -> Result<(), ServeError> {
         let Some(raw) = self.pending.get(&raw_id) else {
-            return Err(if self.served.contains_key(&raw_id) {
+            return Err(if self.served.contains(&raw_id) {
                 ServeError::AlreadyServed(raw_id)
             } else {
                 ServeError::Unknown(raw_id)
@@ -73,7 +74,7 @@ impl FunctionalModel {
             return Err(ServeError::OutsideSpan { raw_id, line: raw.line });
         }
         self.pending.remove(&raw_id);
-        self.served.insert(raw_id, now);
+        self.served.insert(raw_id);
         Ok(())
     }
 
@@ -115,8 +116,8 @@ mod tests {
         m.accept(&miss(1, 0x9040), 0);
         m.accept(&miss(2, 0x9080), 0);
         assert_eq!(m.outstanding(), 2);
-        assert_eq!(m.serve(1, 0x9040, 128, 10), Ok(()));
-        assert_eq!(m.serve(2, 0x9040, 128, 10), Ok(()));
+        assert_eq!(m.serve(1, 0x9040, 128), Ok(()));
+        assert_eq!(m.serve(2, 0x9040, 128), Ok(()));
         assert_eq!(m.outstanding(), 0);
         assert_eq!(m.served(), 2);
     }
@@ -125,17 +126,17 @@ mod tests {
     fn double_serve_is_flagged() {
         let mut m = FunctionalModel::new();
         m.accept(&miss(1, 0x9040), 0);
-        assert_eq!(m.serve(1, 0x9040, 64, 5), Ok(()));
-        assert_eq!(m.serve(1, 0x9040, 64, 6), Err(ServeError::AlreadyServed(1)));
+        assert_eq!(m.serve(1, 0x9040, 64), Ok(()));
+        assert_eq!(m.serve(1, 0x9040, 64), Err(ServeError::AlreadyServed(1)));
     }
 
     #[test]
     fn unknown_and_uncovered_serves_are_flagged() {
         let mut m = FunctionalModel::new();
         m.accept(&miss(1, 0x9040), 0);
-        assert_eq!(m.serve(9, 0x9040, 64, 5), Err(ServeError::Unknown(9)));
+        assert_eq!(m.serve(9, 0x9040, 64), Err(ServeError::Unknown(9)));
         assert_eq!(
-            m.serve(1, 0x9080, 64, 5),
+            m.serve(1, 0x9080, 64),
             Err(ServeError::OutsideSpan { raw_id: 1, line: 0x9040 })
         );
         // A failed serve leaves the request pending.
@@ -146,6 +147,6 @@ mod tests {
     fn unaligned_access_is_tracked_by_line() {
         let mut m = FunctionalModel::new();
         m.accept(&miss(1, 0x9078), 0); // inside the line at 0x9040
-        assert_eq!(m.serve(1, 0x9040, 64, 5), Ok(()));
+        assert_eq!(m.serve(1, 0x9040, 64), Ok(()));
     }
 }

@@ -253,6 +253,10 @@ mod tests {
                     assert!(cycle > 0);
                     sys = restore(&cell, &spec, &bytes).unwrap();
                     assert_eq!(sys.now(), cycle);
+                    // The oracle rides in every cell: its ledgers, like
+                    // every other component, re-save to the same bytes.
+                    let again = sys.save_state(&snapshot_meta(&cell)).unwrap();
+                    assert!(again == bytes, "restored cell saves to different bytes");
                 }
             }
         };

@@ -188,6 +188,55 @@ fn resume_from_checkpoint_extends_the_progress_stream() {
     assert!(md.contains("1 resume(s)"), "{md}");
 }
 
+/// An old-format checkpoint is refused, never misread. Kill a campaign
+/// after its first checkpoint, patch that checkpoint's format version
+/// to 4 and re-seal its checksum, then resume: the restoring attempt
+/// fails with the version error, the retry starts from scratch, and the
+/// cell still finishes with the fingerprint of an uninterrupted run.
+#[test]
+fn resume_refuses_an_old_format_checkpoint_and_restarts_the_cell() {
+    use pac_types::snapshot::{frame_checksum, SnapError, SNAP_VERSION};
+    let sb = Sandbox::new("old-format", ONE_CELL_SPEC);
+    let state = path_str(&sb.state());
+
+    let killed = Command::new(EXE)
+        .args(["run", "--spec", &path_str(&sb.spec()), "--state-dir", &state])
+        .env(pac_serve::chaos::KILL_ENV, "3")
+        .output()
+        .expect("spawn pac-serve");
+    assert_eq!(killed.status.code(), None, "the kill hook must SIGKILL the first segment");
+
+    let ckpts: Vec<PathBuf> = std::fs::read_dir(sb.state().join("ckpt"))
+        .expect("checkpoint dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pacsnap"))
+        .collect();
+    assert_eq!(ckpts.len(), 1, "one journaled checkpoint: {ckpts:?}");
+    let mut bytes = std::fs::read(&ckpts[0]).expect("read checkpoint");
+    assert_eq!(bytes[8..12], SNAP_VERSION.to_le_bytes(), "version follows the 8-byte magic");
+    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = frame_checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&ckpts[0], &bytes).expect("write patched checkpoint");
+
+    let resumed = run(&["resume", "--state-dir", &state]);
+    assert!(resumed.status.success(), "resume failed: {}", stderr_of(&resumed));
+    let journal = std::fs::read_to_string(sb.state().join("journal.jsonl")).unwrap();
+    let refusal = SnapError::BadVersion { found: 4, expected: SNAP_VERSION }.to_string();
+    let fails: Vec<&str> = journal.lines().filter(|l| l.contains("\"ev\":\"fail\"")).collect();
+    assert_eq!(fails.len(), 1, "{journal}");
+    assert!(fails[0].contains("\"attempt\":1") && fails[0].contains(&refusal), "{}", fails[0]);
+    let done: Vec<&str> = journal.lines().filter(|l| l.contains("\"ev\":\"done\"")).collect();
+    assert_eq!(done.len(), 1, "{journal}");
+    assert!(done[0].contains("\"attempt\":2"), "the retry restarts as attempt 2: {}", done[0]);
+
+    let verify = run(&["verify", "--state-dir", &state]);
+    let verdict = stdout_of(&verify);
+    assert!(verify.status.success(), "verify failed: {verdict}");
+    assert!(verdict.contains("1/1 verified, 0 mismatch(es)"), "{verdict}");
+}
+
 #[test]
 fn usage_errors_exit_2() {
     let out = run(&["run"]);

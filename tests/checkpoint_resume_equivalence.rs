@@ -79,11 +79,19 @@ fn kill_resume_at(
 
     let mut resumed =
         SimSystem::restore(specs(bench, &cfg, seed), &bytes, &meta).expect("checkpoint restores");
+    assert_resaves_identically(&resumed, &meta, &bytes);
     let progress = resumed.advance(resumed.run_limit(), Cycle::MAX);
     assert_eq!(progress, RunProgress::Done, "{bench:?}/{kind:?}: resumed run did not drain");
     let m = resumed.finish_run();
     let now = resumed.now();
     (m, now)
+}
+
+/// A restored system saves to exactly the bytes it was restored from:
+/// every component's encoding is a function of its state alone.
+fn assert_resaves_identically(restored: &SimSystem, meta: &str, bytes: &[u8]) {
+    let again = restored.save_state(meta).expect("restored system serializes");
+    assert!(again == bytes, "{meta}: restored state saves to different bytes");
 }
 
 /// The headline contract: for every coalescer configuration, a run
@@ -259,6 +267,7 @@ fn faulted_kill_resume_roundtrips(cfg: SimConfig, meta: &str) {
         let bytes = sys.save_state(&meta).expect("checkpoint with armed watchdog");
         drop(sys);
         let mut sys = SimSystem::restore(specs(Bench::Stream, &cfg, seed), &bytes, &meta).unwrap();
+        assert_resaves_identically(&sys, &meta, &bytes);
         let progress = sys.advance(sys.run_limit().min(limit), Cycle::MAX);
         let resumed = sys.finish_run();
         let resumed_oracle = sys.oracle_report().expect("oracle restored");
@@ -344,6 +353,7 @@ fn ras_kill_resume_roundtrips(cfg: SimConfig, class: RasClass, meta: &str) {
         drop(sys);
         let mut sys =
             SimSystem::restore(specs(Bench::Stream, &cfg, seed), &bytes, meta).unwrap();
+        assert_resaves_identically(&sys, meta, &bytes);
         let progress = sys.advance(sys.run_limit().min(limit), Cycle::MAX);
         let resumed = sys.finish_run();
         let resumed_oracle = sys.oracle_report().expect("oracle restored");
@@ -416,6 +426,21 @@ fn checkpoint_with_flight_recorder_resumes_bit_identically() {
     let m = sys.finish_run();
     assert_eq!(base, m, "tracing perturbed the checkpointed state");
     assert_eq!(base_now, sys.now());
+}
+
+/// A checkpoint is sized by live state, not capacity: a fresh Table 1
+/// system (8 cores, 8 MB LLC) with the oracle attached has empty
+/// caches and ledgers, so its checkpoint stays small on both backends.
+#[test]
+fn fresh_system_checkpoint_is_small() {
+    for backend in BackendKind::ALL {
+        let cfg = SimConfig::for_backend(backend);
+        assert_eq!(cfg.cores, 8);
+        let mut sys = fresh_system(Bench::Stream, CoalescerKind::Pac, cfg, 1);
+        sys.attach_oracle();
+        let bytes = sys.save_state("fresh").expect("fresh checkpoint");
+        assert!(bytes.len() < 64 << 10, "{backend:?}: fresh checkpoint is {} B", bytes.len());
+    }
 }
 
 /// The guard rails: tampered bytes, wrong meta, and wrong workload
