@@ -1,4 +1,5 @@
-//! Oracle conformance suite.
+//! Oracle conformance suite, determinism gate, and the exact-cycle
+//! reference.
 //!
 //! ```console
 //! $ conformance                      # full scale
@@ -8,6 +9,8 @@
 //! $ conformance --backend hbm        # run the matrices on the HBM backend
 //! $ conformance --diff --quick       # differential mode: both backends per cell
 //! $ conformance --threads 4          # fan matrix cells across 4 workers
+//! $ conformance --gate --quick --threads 4   # determinism gate, 1 vs 4 workers
+//! $ conformance --bless              # re-run and rewrite reference/cycles.txt
 //! ```
 //!
 //! Default mode: phase 1 runs every benchmark × coalescer under the
@@ -19,9 +22,10 @@
 //! survival: phase R1 re-arms every fault class with the recovery layer
 //! enabled and requires each run to **converge with the oracle silent**
 //! and all retries within budget; phase R2 re-runs the committed
-//! `BENCH_throughput.json` cells with `RecoveryConfig::disabled()`
-//! explicitly attached and requires the simulated cycle counts to
-//! reproduce bit-identically — the disabled path costs nothing.
+//! `reference/cycles.txt` rows of the selected backend with
+//! `RecoveryConfig::disabled()` explicitly attached and requires the
+//! simulated cycle counts to reproduce bit-identically — the disabled
+//! path costs nothing.
 //!
 //! `--ras` mode proves the hardware RAS layer *beneath* the recovery
 //! stack: phase H1 arms every RAS class native to the selected backend
@@ -31,37 +35,44 @@
 //! really occurred — detected *and* survived, a retried packet is not a
 //! duplicate; phase H2 prints the degraded-mode throughput table
 //! (healthy vs half-width vs retired link, or healthy vs scrub-on);
-//! phase H3 replays the committed baseline with the RAS layer disarmed
-//! and requires bit-identical cycle counts — disabled means free.
+//! phase H3 re-runs the reference rows with the RAS layer disarmed and
+//! requires bit-identical cycle counts — disabled means free.
 //!
 //! `--backend hmc|hbm` selects the memory substrate the matrices run
-//! on (default hmc). Phase R2 is tied to the HMC-recorded baseline and
-//! is skipped on other backends. `--diff` instead runs every matrix
-//! cell on *both* backends and requires request conservation, identical
+//! on (default hmc). `--diff` instead runs every matrix cell on *both*
+//! backends and requires request conservation, identical
 //! completed-request sets, and oracle silence on each.
+//!
+//! `--gate` runs the experiment matrix on one worker and on `--threads`
+//! workers and requires identical full `RunMetrics` per cell — the
+//! proof that fan-out changes wall-clock only. `--bless` re-runs every
+//! cell of the reference table on both backends and rewrites
+//! `reference/cycles.txt` once all of them have finished; it is the
+//! table's one regeneration path.
 //!
 //! Exits nonzero on any failing cell in any mode.
 
 use pac_bench::conformance::{
-    clean_matrix, degraded_table, disabled_ras_reproduction, disabled_recovery_reproduction,
-    expected_invariants, fault_matrix, ras_classes_for, ras_matrix, recovery_matrix,
-    ConformanceScale,
+    clean_matrix, degraded_table, determinism_gate, disabled_reproduction, expected_invariants,
+    fault_matrix, ras_classes_for, ras_matrix, recovery_matrix, ConformanceScale,
 };
 use pac_bench::diff::diff_matrix;
 use pac_bench::runner::{
     backend_from_args, progress_from_args, reject_unknown_args, threads_from_args,
 };
-use pac_bench::ParallelRunner;
+use pac_bench::{harness, matrix, reference, ParallelRunner};
 use pac_obs::{PhaseTimer, ProgressSink};
-use pac_types::BackendKind;
+use pac_sim::ExperimentConfig;
+use pac_types::{BackendKind, RecoveryConfig, SimConfig};
 
-const USAGE: &str = "usage: conformance [--quick] [--recover | --ras | --diff] \
+const USAGE: &str = "usage: conformance [--quick] [--recover | --ras | --diff | --gate | --bless] \
                      [--backend hmc|hbm] [--threads N] [--progress <path|->]";
 
 fn main() {
     pac_types::sigwatch::install();
     let args: Vec<String> = std::env::args().collect();
-    if let Err(e) = reject_unknown_args(&args[1..], &["--quick", "--recover", "--ras", "--diff"]) {
+    let switches = ["--quick", "--recover", "--ras", "--diff", "--gate", "--bless"];
+    if let Err(e) = reject_unknown_args(&args[1..], &switches) {
         eprintln!("{e}\n{USAGE}");
         std::process::exit(2);
     }
@@ -70,6 +81,8 @@ fn main() {
     let recover = args.iter().any(|a| a == "--recover");
     let ras = args.iter().any(|a| a == "--ras");
     let diff = args.iter().any(|a| a == "--diff");
+    let gate = args.iter().any(|a| a == "--gate");
+    let bless = args.iter().any(|a| a == "--bless");
     let (runner, backend) = match threads_from_args(&args)
         .map(ParallelRunner::new)
         .and_then(|r| backend_from_args(&args).map(|b| (r, b)))
@@ -80,6 +93,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if bless {
+        run_bless(&runner);
+        return;
+    }
     let progress = match progress_from_args(&args) {
         Ok(None) => ProgressSink::disabled(),
         Ok(Some(arg)) => ProgressSink::create(&arg).unwrap_or_else(|e| {
@@ -91,6 +108,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if gate {
+        run_gate(quick, backend, &runner, &progress);
+        return;
+    }
     let scale = if quick { ConformanceScale::quick() } else { ConformanceScale::full() };
     eprintln!(
         "scale: {} accesses/core, {} cores, cycle limit {}, {} worker thread(s), backend {}",
@@ -155,6 +176,62 @@ fn main() {
             "\nconformance passed: oracle silent on clean runs, every fault class caught"
         );
     }
+}
+
+/// `--gate`: the experiment matrix at 1 vs `runner` workers must give
+/// identical full `RunMetrics` per cell. Exits 1 on any divergence.
+fn run_gate(quick: bool, backend: BackendKind, runner: &ParallelRunner, progress: &ProgressSink) {
+    let mut cfg = ExperimentConfig { sim: SimConfig::for_backend(backend), ..Default::default() };
+    if quick {
+        cfg.accesses_per_core = harness::QUICK_ACCESSES;
+    }
+    let cells = matrix();
+    eprintln!(
+        "determinism gate: {} cells at 1 vs {} worker thread(s), {} accesses/core, backend {} ...",
+        cells.len(),
+        runner.threads(),
+        cfg.accesses_per_core,
+        backend.label()
+    );
+    progress.campaign_start("conformance", backend.label(), runner.threads(), 0);
+    let mismatches = determinism_gate(&cells, &cfg, runner, progress);
+    progress.campaign_end();
+    if mismatches.is_empty() {
+        println!(
+            "determinism gate passed: {} cells bit-identical at 1 and {} worker thread(s)",
+            cells.len(),
+            runner.threads()
+        );
+        return;
+    }
+    for m in &mismatches {
+        eprintln!("GATE FAIL: {m}");
+    }
+    std::process::exit(1);
+}
+
+/// `--bless`: re-run every reference cell on both backends and rewrite
+/// the table, only once all of them have finished.
+fn run_bless(runner: &ParallelRunner) {
+    eprintln!(
+        "bless: {} reference cells on {} worker thread(s) ...",
+        2 * matrix().len(),
+        runner.threads()
+    );
+    let rows = reference::measure(runner);
+    if pac_types::sigwatch::triggered() {
+        eprintln!("conformance: drained on signal; {} left unchanged", reference::PATH);
+        std::process::exit(3);
+    }
+    let changed = match reference::parse(reference::COMMITTED) {
+        Ok(old) => old.iter().zip(&rows).filter(|(a, b)| a != b).count(),
+        Err(_) => rows.len(),
+    };
+    if let Err(e) = pac_bench::error::write(reference::PATH, reference::render(&rows)) {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
+    println!("wrote {}: {} cells, {changed} changed", reference::PATH, rows.len());
 }
 
 /// `--diff` phase: every matrix cell on both backends. Returns the
@@ -319,40 +396,8 @@ fn run_ras_mode(
     }
     drain_check(progress);
 
-    eprintln!("\n== phase H3: disarmed-RAS cycle reproduction vs BENCH_throughput.json ==");
-    if backend != BackendKind::Hmc {
-        println!(
-            "skipped: baseline cycle counts are recorded on hmc (running --backend {})",
-            backend.label()
-        );
-        return failures;
-    }
-    let max_cells = if quick { 6 } else { 0 };
-    match read_baseline() {
-        Ok(json) => match disabled_ras_reproduction(&json, max_cells) {
-            Ok(mismatches) if mismatches.is_empty() => {
-                println!(
-                    "cycle reproduction: all compared cells bit-identical \
-                     (the disarmed RAS layer changes nothing)"
-                );
-            }
-            Ok(mismatches) => {
-                for m in &mismatches {
-                    println!("CYCLE MISMATCH: {m}");
-                }
-                failures += mismatches.len() as u32;
-            }
-            Err(e) => {
-                println!("baseline unusable: {e}");
-                failures += 1;
-            }
-        },
-        Err(e) => {
-            println!("cannot read BENCH_throughput.json: {e}");
-            failures += 1;
-        }
-    }
-    failures
+    eprintln!("\n== phase H3: disarmed-RAS cycle reproduction vs reference/cycles.txt ==");
+    failures + reproduce(backend, None, quick, "the disarmed RAS layer changes nothing")
 }
 
 /// `--recover` phases. Returns the failing cell count.
@@ -407,43 +452,36 @@ fn run_recover(
 
     drain_check(progress);
 
-    eprintln!("\n== phase R2: disabled-recovery cycle reproduction vs BENCH_throughput.json ==");
-    if backend != BackendKind::Hmc {
-        // The committed baseline was recorded on the HMC reference;
-        // reproducing it on another substrate is meaningless.
-        println!(
-            "skipped: baseline cycle counts are recorded on hmc (running --backend {})",
-            backend.label()
-        );
-        return failures;
-    }
-    // Quick mode bounds the sweep; full mode replays every cell.
-    let max_cells = if quick { 6 } else { 0 };
-    match read_baseline() {
-        Ok(json) => match disabled_recovery_reproduction(&json, max_cells) {
-            Ok(mismatches) if mismatches.is_empty() => {
-                println!(
-                    "cycle reproduction: all compared cells bit-identical \
-                     (recovery disabled changes nothing)"
-                );
+    eprintln!("\n== phase R2: disabled-recovery cycle reproduction vs reference/cycles.txt ==");
+    let recovery = Some(RecoveryConfig::disabled());
+    failures + reproduce(backend, recovery, quick, "recovery disabled changes nothing")
+}
+
+/// Phases R2 and H3: re-run the committed reference rows of `backend`
+/// with `recovery` attached and require every cycle count exactly.
+/// Quick mode bounds the sweep to six cells. Returns the failure count.
+fn reproduce(
+    backend: BackendKind,
+    recovery: Option<RecoveryConfig>,
+    quick: bool,
+    verdict: &str,
+) -> u32 {
+    match disabled_reproduction(backend, recovery, if quick { 6 } else { 0 }) {
+        Ok(mismatches) if mismatches.is_empty() => {
+            println!("cycle reproduction: all compared cells bit-identical ({verdict})");
+            0
+        }
+        Ok(mismatches) => {
+            for m in &mismatches {
+                println!("CYCLE MISMATCH: {m}");
             }
-            Ok(mismatches) => {
-                for m in &mismatches {
-                    println!("CYCLE MISMATCH: {m}");
-                }
-                failures += mismatches.len() as u32;
-            }
-            Err(e) => {
-                println!("baseline unusable: {e}");
-                failures += 1;
-            }
-        },
+            mismatches.len() as u32
+        }
         Err(e) => {
-            println!("cannot read BENCH_throughput.json: {e}");
-            failures += 1;
+            println!("reference unusable: {e}");
+            1
         }
     }
-    failures
 }
 
 /// SIGINT/SIGTERM drain point between phases: the in-flight matrix
@@ -456,23 +494,4 @@ fn drain_check(progress: &ProgressSink) {
         progress.campaign_end();
         std::process::exit(3);
     }
-}
-
-/// Locate the committed throughput baseline: working directory first
-/// (how CI invokes the binary from the repo root), then relative to the
-/// crate (how `cargo run` finds it from anywhere).
-fn read_baseline() -> Result<String, pac_bench::BenchError> {
-    let candidates = [
-        std::path::PathBuf::from("BENCH_throughput.json"),
-        std::path::PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_throughput.json"
-        )),
-    ];
-    for path in &candidates {
-        if path.is_file() {
-            return pac_bench::error::read_to_string(path);
-        }
-    }
-    Err(pac_bench::BenchError::NotFound(candidates.to_vec()))
 }

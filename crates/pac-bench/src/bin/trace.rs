@@ -7,6 +7,7 @@
 //! $ trace --fault corrupt-addr STREAM pac # flight recorder + fault dump
 //! $ trace --quick EP pac out.json         # small run (CI smoke)
 //! $ trace --guard                         # disabled-path throughput guard
+//! $ trace --backend hbm --guard           # the same over the HBM rows
 //! ```
 //!
 //! Full-trace runs write Chrome `trace_event` JSON — open the file at
@@ -21,7 +22,7 @@ use pac_bench::runner::{
     threads_from_args,
 };
 use pac_bench::trace_cmd::{run_cell, throughput_guard};
-use pac_bench::ParallelRunner;
+use pac_bench::{reference, ParallelRunner};
 use pac_obs::{CellId, ProgressSink};
 use pac_sim::{CoalescerKind, ExperimentConfig};
 use pac_types::{BackendKind, FaultClass, FaultPlan, SimConfig, TraceConfig};
@@ -39,7 +40,7 @@ fn usage() -> ! {
          <BENCH> <raw|mshr-dmc|pac> [out.json]\n  \
          trace [--quick] [--backend hmc|hbm] --ras <class>[:key=value,...] \
          <BENCH> <raw|mshr-dmc|pac> [out.json]\n  \
-         trace [--quick] --guard"
+         trace [--quick] [--backend hmc|hbm] --guard"
     );
     std::process::exit(2);
 }
@@ -182,22 +183,15 @@ fn run() -> Result<(), BenchError> {
                 eprintln!("--guard proves the disarmed path; drop --ras");
                 std::process::exit(2);
             }
-            if backend != BackendKind::Hmc {
-                // The guard reproduces HMC-recorded baseline wall
-                // clocks; there is nothing to compare on another
-                // substrate.
-                eprintln!("--guard compares against the hmc-recorded baseline; drop --backend");
-                std::process::exit(2);
-            }
-            let baseline_path = "BENCH_throughput.json";
-            let baseline = error::read_to_string(baseline_path)?;
+            let mut rows = reference::committed(backend)
+                .map_err(|e| BenchError::Parse(PathBuf::from(reference::PATH), e))?;
             // Quick mode samples a handful of cells; the full guard
-            // replays the entire matrix. Wall tolerance is the ±2%
-            // budget from the issue; quick runs get slack because a
-            // truncated sample amplifies per-cell noise.
-            let (tolerance, max_cells) = if quick { (0.10, 6) } else { (0.02, 0) };
-            let report = throughput_guard(&baseline, tolerance, max_cells)
-                .map_err(|e| BenchError::Parse(PathBuf::from(baseline_path), e))?;
+            // replays every cell of the backend. The tolerance is the
+            // ±2% budget; quick runs get slack because a truncated
+            // sample amplifies per-cell noise.
+            let (tolerance, max_cells) = if quick { (0.10, 6) } else { (0.02, rows.len()) };
+            rows.truncate(max_cells);
+            let report = throughput_guard(&reference::config(backend), &rows, tolerance);
             print!("{}", report.render());
             if !report.passed() {
                 std::process::exit(1);

@@ -9,13 +9,17 @@
 //! A checker that has never flagged anything is indistinguishable from
 //! a checker that cannot; this module is the distinguishing experiment.
 
-use crate::matrix::matrix;
+use crate::matrix::{matrix, MatrixCell};
+use crate::reference;
 use crate::runner::ParallelRunner;
 use pac_obs::{CellId, ProgressSink};
 use pac_oracle::{Invariant, OracleConfig, OracleReport};
 use pac_serve::{run_supervised, SupervisePolicy};
 use pac_sim::system::run_lockstep;
-use pac_sim::{CoalescerKind, LockstepOutcome, RecoveryReport};
+use pac_sim::{
+    run_bench, CoalescerKind, ExperimentConfig, LockstepOutcome, RecoveryReport, SimSystem,
+    Stepping,
+};
 use pac_types::{
     BackendKind, FaultClass, FaultPlan, RasClass, RasPlan, RasStats, RecoveryConfig, SimConfig,
 };
@@ -590,89 +594,72 @@ pub fn degraded_table(scale: ConformanceScale, backend: BackendKind) -> Vec<Degr
         .collect()
 }
 
-/// Prove the disarmed RAS layer is zero-cost: replay the committed
-/// throughput baseline with no RAS plan attached (the layer's fields
-/// present but `None`, exactly how every non-RAS run now executes) and
-/// require the simulated cycle counts to reproduce bit-identically.
-/// Returns the mismatching cells (empty = pass). `max_cells` bounds the
-/// sweep for quick mode (0 = all).
-pub fn disabled_ras_reproduction(
-    baseline_json: &str,
+/// Prove a disabled layer is zero-cost: re-run the committed reference
+/// rows of `backend` ([`crate::reference`]) with `recovery` attached and
+/// require every simulated cycle count to reproduce exactly. Phase R2
+/// attaches [`RecoveryConfig::disabled`]; phase H3 attaches nothing,
+/// leaving the RAS layer present but unarmed, exactly how every non-RAS
+/// run executes. Returns the mismatching cells (empty = pass).
+/// `max_cells` bounds the sweep for quick mode (0 = all).
+pub fn disabled_reproduction(
+    backend: BackendKind,
+    recovery: Option<RecoveryConfig>,
     max_cells: usize,
 ) -> Result<Vec<String>, String> {
-    use crate::trace_cmd::parse_baseline;
-    use pac_sim::{ExperimentConfig, SimSystem};
-
-    let (accesses, seed, mut cells) = parse_baseline(baseline_json)?;
+    let cfg = reference::config(backend);
+    let mut rows = reference::committed(backend)?;
     if max_cells > 0 {
-        cells.truncate(max_cells);
+        rows.truncate(max_cells);
     }
-    let cfg = ExperimentConfig { accesses_per_core: accesses, seed, ..Default::default() };
     let mut mismatches = Vec::new();
-    for cell in &cells {
-        let Some(bench) = Bench::from_name(&cell.bench) else {
-            return Err(format!("baseline names unknown benchmark '{}'", cell.bench));
-        };
-        let kind = match cell.kind.as_str() {
-            "raw" => CoalescerKind::Raw,
-            "mshr-dmc" => CoalescerKind::MshrDmc,
-            "pac" => CoalescerKind::Pac,
-            other => return Err(format!("baseline names unknown coalescer '{other}'")),
-        };
-        let specs = single_process(bench, cfg.sim.cores, cfg.seed);
-        let mut sys = SimSystem::with_options(cfg.sim, specs, kind, false, false, cfg.stepping);
+    for row in &rows {
+        let specs = single_process(row.cell.bench, cfg.sim.cores, cfg.seed);
+        let mut sys =
+            SimSystem::with_options(cfg.sim, specs, row.cell.kind, false, false, cfg.stepping);
+        if let Some(rc) = recovery {
+            sys.set_recovery_config(rc);
+        }
         let m = sys.run(cfg.accesses_per_core);
-        if m.runtime_cycles != cell.simulated_cycles {
+        if m.runtime_cycles != row.cycles {
             mismatches.push(format!(
-                "{}/{}: {} cycles with the RAS layer disarmed, baseline {}",
-                cell.bench, cell.kind, m.runtime_cycles, cell.simulated_cycles
+                "{}: {} cycles, reference {}",
+                row.cell.label(),
+                m.runtime_cycles,
+                row.cycles
             ));
         }
     }
     Ok(mismatches)
 }
 
-/// Prove the disabled recovery configuration is zero-cost: re-run every
-/// cell of the committed throughput baseline with
-/// [`RecoveryConfig::disabled`] *explicitly attached* and require the
-/// simulated cycle counts to reproduce bit-identically. Returns the
-/// mismatching cells (empty = pass). `max_cells` bounds the sweep for
-/// quick mode (0 = all).
-pub fn disabled_recovery_reproduction(
-    baseline_json: &str,
-    max_cells: usize,
-) -> Result<Vec<String>, String> {
-    use crate::trace_cmd::parse_baseline;
-    use pac_sim::{ExperimentConfig, SimSystem};
-
-    let (accesses, seed, mut cells) = parse_baseline(baseline_json)?;
-    if max_cells > 0 {
-        cells.truncate(max_cells);
-    }
-    let cfg = ExperimentConfig { accesses_per_core: accesses, seed, ..Default::default() };
-    let mut mismatches = Vec::new();
-    for cell in &cells {
-        let Some(bench) = Bench::from_name(&cell.bench) else {
-            return Err(format!("baseline names unknown benchmark '{}'", cell.bench));
-        };
-        let kind = match cell.kind.as_str() {
-            "raw" => CoalescerKind::Raw,
-            "mshr-dmc" => CoalescerKind::MshrDmc,
-            "pac" => CoalescerKind::Pac,
-            other => return Err(format!("baseline names unknown coalescer '{other}'")),
-        };
-        let specs = single_process(bench, cfg.sim.cores, cfg.seed);
-        let mut sys = SimSystem::with_options(cfg.sim, specs, kind, false, false, cfg.stepping);
-        sys.set_recovery_config(RecoveryConfig::disabled());
-        let m = sys.run(cfg.accesses_per_core);
-        if m.runtime_cycles != cell.simulated_cycles {
-            mismatches.push(format!(
-                "{}/{}: {} cycles with recovery disabled, baseline {}",
-                cell.bench, cell.kind, m.runtime_cycles, cell.simulated_cycles
-            ));
-        }
-    }
-    Ok(mismatches)
+/// The determinism gate: run `cells` on one worker and on `runner`'s
+/// width and require the **full** per-cell [`pac_sim::RunMetrics`] —
+/// every figure-level aggregate, not just cycle counts — to match
+/// exactly. The wide fan-out's worker stats go to `progress`. Returns
+/// the divergence descriptions (empty = gate passed).
+pub fn determinism_gate(
+    cells: &[MatrixCell],
+    cfg: &ExperimentConfig,
+    runner: &ParallelRunner,
+    progress: &ProgressSink,
+) -> Vec<String> {
+    let cfg = ExperimentConfig { stepping: Stepping::SkipAhead, ..*cfg };
+    let run = |_: usize, mc: &MatrixCell| run_bench(mc.bench, mc.kind, &cfg).0;
+    let serial = ParallelRunner::new(1).run(cells, run);
+    let (wide, stats) = runner.run_observed(cells, run);
+    progress.worker_util(&stats);
+    cells
+        .iter()
+        .zip(serial.iter().zip(&wide))
+        .filter(|(_, (s, w))| s != w)
+        .map(|(mc, _)| {
+            format!(
+                "{}: RunMetrics diverge between 1 and {} worker(s)",
+                mc.label(),
+                runner.threads()
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -798,6 +785,17 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(rows[1].stats.scrub_hits > 0, "scrub-on row modeled no windows");
         assert!(rows.iter().all(|r| r.cycles > 0));
+    }
+
+    #[test]
+    fn determinism_gate_passes_on_clean_matrix() {
+        let cfg = ExperimentConfig { accesses_per_core: 400, ..Default::default() };
+        let gs_row: Vec<MatrixCell> =
+            CoalescerKind::ALL.iter().map(|&kind| MatrixCell { bench: Bench::Gs, kind }).collect();
+        let (sink, buf) = ProgressSink::to_buffer();
+        let mismatches = determinism_gate(&gs_row, &cfg, &ParallelRunner::new(4), &sink);
+        assert!(mismatches.is_empty(), "{mismatches:?}");
+        assert!(buf.contents().contains("\"ev\":\"worker_util\""), "{}", buf.contents());
     }
 
     /// A clean armed-with-nothing run stays clean (spot check; the full

@@ -19,8 +19,6 @@ pub enum BenchError {
     CreateDir(PathBuf, std::io::Error),
     /// The named file was read but its contents were rejected.
     Parse(PathBuf, String),
-    /// The file was found at none of the candidate paths.
-    NotFound(Vec<PathBuf>),
     /// A command-line flag was malformed or named an unknown value; the
     /// message always lists the valid choices.
     Usage(String),
@@ -35,11 +33,6 @@ impl std::fmt::Display for BenchError {
                 write!(f, "cannot create directory {}: {e}", p.display())
             }
             BenchError::Parse(p, msg) => write!(f, "cannot parse {}: {msg}", p.display()),
-            BenchError::NotFound(candidates) => {
-                let shown: Vec<String> =
-                    candidates.iter().map(|p| p.display().to_string()).collect();
-                write!(f, "not found at {}", shown.join(" or "))
-            }
             BenchError::Usage(msg) => write!(f, "{msg}"),
         }
     }
@@ -90,9 +83,6 @@ mod tests {
 
         let e = BenchError::Parse(PathBuf::from("a.json"), "bad field".into());
         assert_eq!(e.to_string(), "cannot parse a.json: bad field");
-
-        let e = BenchError::NotFound(vec![PathBuf::from("a"), PathBuf::from("b")]);
-        assert_eq!(e.to_string(), "not found at a or b");
 
         let e = BenchError::Usage("unknown --backend 'ddr4' (valid: hmc, hbm)".into());
         assert_eq!(e.to_string(), "unknown --backend 'ddr4' (valid: hmc, hbm)");

@@ -2,10 +2,11 @@
 
 use crate::harness::{Harness, Table};
 use crate::paper;
+use crate::{matrix, ParallelRunner};
 use hmc_sim::EnergyClass;
 use pac_analysis::{crosspage_stats, dbscan_1d};
 use pac_core::fine::FineCoalescer;
-use pac_sim::{replay, run_bench, run_matrix, run_pair, CoalescerKind, TraceEntry};
+use pac_sim::{replay, run_bench, run_pair, CoalescerKind, TraceEntry};
 use pac_types::{MemRequest, MemoryProtocol, SimConfig};
 use pac_workloads::Bench;
 use std::fmt::Write as _;
@@ -523,15 +524,14 @@ pub fn fig14(h: &mut Harness) -> String {
 
 /// Fig 15: end-to-end performance improvement (execution-driven).
 pub fn fig15(h: &Harness) -> String {
-    let out = run_matrix(&Bench::ALL, &CoalescerKind::ALL, &h.cfg);
+    let out = ParallelRunner::new(0).run(&matrix(), |_, c| run_bench(c.bench, c.kind, &h.cfg).0);
     let mut t = Table::new(
         "Fig 15: Performance improvement over the stock controller (%)",
         &["mshr-dmc", "pac"],
     );
-    for bench in Bench::ALL {
-        let raw = &out[&(bench, CoalescerKind::Raw)];
-        let dmc = &out[&(bench, CoalescerKind::MshrDmc)];
-        let pac = &out[&(bench, CoalescerKind::Pac)];
+    // The matrix is bench-major, each bench's cells in `CoalescerKind::ALL` order.
+    for (bench, row) in Bench::ALL.iter().zip(out.chunks(CoalescerKind::ALL.len())) {
+        let (raw, dmc, pac) = (&row[0], &row[1], &row[2]);
         t.row(bench.name(), vec![dmc.speedup_vs(raw) * PCT, pac.speedup_vs(raw) * PCT]);
     }
     t.average_row();

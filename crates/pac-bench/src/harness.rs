@@ -100,12 +100,9 @@ impl Harness {
         let cfg = self.capture_config();
         let missing: Vec<Bench> =
             Bench::ALL.iter().copied().filter(|b| !self.traces.contains_key(b)).collect();
-        for (bench, trace) in pac_sim::experiment::parallel_map(&missing, |&bench| {
-            let (_, trace) = run_bench(bench, CoalescerKind::Raw, &cfg);
-            (bench, trace)
-        }) {
-            self.traces.insert(bench, trace);
-        }
+        let traces = crate::ParallelRunner::new(0)
+            .run(&missing, |_, &bench| run_bench(bench, CoalescerKind::Raw, &cfg).1);
+        self.traces.extend(missing.into_iter().zip(traces));
     }
 }
 

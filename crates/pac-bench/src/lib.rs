@@ -22,8 +22,8 @@ pub mod figures;
 pub mod harness;
 pub mod matrix;
 pub mod paper;
+pub mod reference;
 pub mod runner;
-pub mod throughput;
 pub mod trace_cmd;
 
 pub use error::BenchError;

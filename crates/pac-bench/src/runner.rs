@@ -4,8 +4,7 @@
 //! [`ParallelRunner::run`] schedules jobs across `--threads N` workers
 //! and returns results **indexed by job position**, never by completion
 //! order — workers claim the next unclaimed index and write into that
-//! job's pre-assigned slot, exactly the discipline of
-//! [`pac_sim::experiment::parallel_map`]. Combined with per-cell seed
+//! job's pre-assigned slot. Combined with per-cell seed
 //! derivation from the cell's canonical position
 //! ([`crate::matrix::MatrixCell::seed`]), every output is a pure
 //! function of the job list: the thread count changes wall-clock only.
@@ -38,30 +37,14 @@ impl ParallelRunner {
     }
 
     /// Apply `f` to every job; `results[i] == f(i, &jobs[i])` under any
-    /// thread schedule. With one thread the jobs run inline in order —
-    /// bitwise the serial loop the binaries used to have.
+    /// thread schedule. With one thread the jobs run inline in order.
     pub fn run<J, R, F>(&self, jobs: &[J], f: F) -> Vec<R>
     where
         J: Sync,
         R: Send + Sync,
         F: Fn(usize, &J) -> R + Sync,
     {
-        if self.threads == 1 || jobs.len() <= 1 {
-            return jobs.iter().enumerate().map(|(i, j)| f(i, j)).collect();
-        }
-        let slots: Vec<OnceLock<R>> = (0..jobs.len()).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..self.threads.min(jobs.len()) {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    let claimed = slots[i].set(f(i, job)).is_ok();
-                    debug_assert!(claimed, "job {i} ran twice");
-                });
-            }
-        });
-        slots.into_iter().map(|slot| slot.into_inner().expect("every job ran")).collect()
+        self.run_observed(jobs, f).0
     }
 
     /// Like [`run`](Self::run), but also reports harness self-metrics:
@@ -69,10 +52,7 @@ impl ParallelRunner {
     /// wall time (claim latency plus the tail spent waiting for slower
     /// peers — idle is measured against the full fan-out wall, so a
     /// worker that finishes early shows the imbalance it suffered).
-    ///
-    /// The results vector is computed by the **same claim discipline**
-    /// as `run` and is bit-identical to it at any thread count; only
-    /// the stats are schedule-dependent.
+    /// Only the stats are schedule-dependent.
     pub fn run_observed<J, R, F>(&self, jobs: &[J], f: F) -> (Vec<R>, RunnerStats)
     where
         J: Sync,

@@ -5,11 +5,13 @@
 //! dumps, and the per-stage latency histograms.
 //!
 //! The module also hosts the throughput guard: proof that the
-//! *disabled* trace path costs nothing, by re-running the experiment
-//! matrix with tracing off and holding both the simulated cycle counts
-//! and the wall-clock throughput against the committed
-//! `BENCH_throughput.json` baseline.
+//! *disabled* trace path costs nothing, by re-running the committed
+//! reference cells ([`crate::reference`]) with tracing off, holding the
+//! simulated cycle counts exactly and the wall clock against a plain
+//! run on the same machine.
 
+use crate::matrix::MatrixCell;
+use crate::reference::Row;
 use pac_sim::{CoalescerKind, ExperimentConfig, SimSystem};
 use pac_trace::perfetto::chrome_trace_json;
 use pac_trace::{FlightDump, MetricsRegistry};
@@ -165,85 +167,13 @@ fn render_report(
     out
 }
 
-/// One parsed cell of the committed throughput baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineCell {
-    /// Benchmark label as recorded.
-    pub bench: String,
-    /// Coalescer label as recorded.
-    pub kind: String,
-    /// Wall seconds the baseline machine spent on the cell.
-    pub wall_seconds: f64,
-    /// Simulated cycles the run covered (machine-independent).
-    pub simulated_cycles: u64,
-}
-
-/// Minimal reader for `BENCH_throughput.json`: returns
-/// `(accesses_per_core, seed, skip-ahead cells)`. Hand-rolled like the
-/// writer in [`crate::throughput`] — the repo carries no JSON
-/// dependency and the document is our own output format.
-pub fn parse_baseline(json: &str) -> Result<(u64, u64, Vec<BaselineCell>), String> {
-    fn field_u64(s: &str, key: &str) -> Option<u64> {
-        let at = s.find(&format!("\"{key}\":"))?;
-        let rest = s[at..].split(':').nth(1)?;
-        let num: String =
-            rest.trim_start().chars().take_while(|c| c.is_ascii_digit()).collect();
-        num.parse().ok()
-    }
-    fn field_f64(s: &str, key: &str) -> Option<f64> {
-        let at = s.find(&format!("\"{key}\":"))?;
-        let rest = s[at..].split(':').nth(1)?;
-        let num: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        num.parse().ok()
-    }
-    fn field_str(s: &str, key: &str) -> Option<String> {
-        let at = s.find(&format!("\"{key}\":"))?;
-        let rest = &s[at + key.len() + 3..];
-        let open = rest.find('"')?;
-        let rest = &rest[open + 1..];
-        let close = rest.find('"')?;
-        Some(rest[..close].to_string())
-    }
-
-    let accesses =
-        field_u64(json, "accesses_per_core").ok_or("missing accesses_per_core")?;
-    let seed = field_u64(json, "seed").ok_or("missing seed")?;
-    // The skip-ahead sweep is the production mode the guard compares
-    // against; find its section and take the cells that follow.
-    let sweep_at = json
-        .find("\"stepping\": \"skip-ahead\"")
-        .ok_or("baseline has no skip-ahead sweep")?;
-    let mut cells = Vec::new();
-    for line in json[sweep_at..].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.contains("\"bench\"") {
-            continue;
-        }
-        let bench = field_str(line, "bench").ok_or("cell missing bench")?;
-        let kind = field_str(line, "kind").ok_or("cell missing kind")?;
-        let wall = field_f64(line, "wall_seconds").ok_or("cell missing wall_seconds")?;
-        let cycles =
-            field_u64(line, "simulated_cycles").ok_or("cell missing simulated_cycles")?;
-        cells.push(BaselineCell { bench, kind, wall_seconds: wall, simulated_cycles: cycles });
-    }
-    if cells.is_empty() {
-        return Err("no cells under the skip-ahead sweep".into());
-    }
-    Ok((accesses, seed, cells))
-}
-
 /// Result of the disabled-path throughput guard.
 #[derive(Debug)]
 pub struct GuardReport {
-    /// Cells whose simulated cycle count no longer matches the baseline
-    /// (must be empty: tracing off may not change behavior).
+    /// Cells whose metrics diverge between the legs or whose simulated
+    /// cycle count no longer matches the reference (must be empty:
+    /// tracing off may not change behavior).
     pub cycle_mismatches: Vec<String>,
-    /// Total wall seconds the baseline spent on the compared cells.
-    pub baseline_seconds: f64,
     /// Total wall seconds spent with no tracer constructed at all.
     pub plain_seconds: f64,
     /// Total wall seconds spent with `TraceConfig::off()` attached.
@@ -258,27 +188,17 @@ pub struct GuardReport {
     /// `obs/plain - 1` measured back-to-back on this machine — the same
     /// zero-cost proof for the disabled progress/self-metrics path.
     pub obs_delta: f64,
-    /// `plain/baseline - 1` against the recorded document; subsumes
-    /// build drift and machine conditions, reported for context.
-    pub wall_delta: f64,
-    /// Tolerance for the same-machine A/B delta (the ±2% budget).
+    /// Tolerance for both same-machine A/B deltas (the ±2% budget).
     pub tolerance: f64,
-    /// Looser bound for the recorded-document comparison: the document
-    /// was measured in a different process lifetime (possibly a
-    /// different machine), so ~5% run-to-run drift is expected even on
-    /// an identical binary. Set to `5 × tolerance`.
-    pub wall_tolerance: f64,
 }
 
 impl GuardReport {
-    /// True when cycles match everywhere, the A/B and observed-path
-    /// deltas are within tolerance, and the recorded-baseline delta is
-    /// within the drift allowance.
+    /// True when cycles match everywhere and both A/B deltas are within
+    /// tolerance.
     pub fn passed(&self) -> bool {
         self.cycle_mismatches.is_empty()
             && self.ab_delta <= self.tolerance
             && self.obs_delta <= self.tolerance
-            && self.wall_delta <= self.wall_tolerance
     }
 
     /// Render the verdict.
@@ -303,15 +223,6 @@ impl GuardReport {
             self.obs_delta * 100.0,
             self.tolerance * 100.0
         );
-        let _ = writeln!(
-            out,
-            "  vs recorded baseline: {:.3}s recorded, {:.3}s measured, delta {:+.2}% \
-             (drift allowance {:.0}%)",
-            self.baseline_seconds,
-            self.plain_seconds,
-            self.wall_delta * 100.0,
-            self.wall_tolerance * 100.0
-        );
         for m in &self.cycle_mismatches {
             let _ = writeln!(out, "  CYCLE MISMATCH: {m}");
         }
@@ -320,44 +231,26 @@ impl GuardReport {
     }
 }
 
-/// Re-run every baseline cell three times back-to-back — once with no
-/// tracer constructed (the `run_bench` path), once with
+/// Re-run every reference row three times back-to-back at `cfg` — once
+/// with no tracer constructed (the `run_bench` path), once with
 /// `TraceConfig::off()` attached, and once through the full observed
 /// path (disabled progress sink emitting per-cell events, self-metric
-/// accessors polled after the run) — and compare: simulated cycles must
-/// match the baseline exactly (observability off changes nothing), both
-/// A/B wall deltas must be within `tolerance` (the machine-independent
-/// zero-cost proofs), and the plain run must also land within the drift
-/// allowance of the recorded baseline wall clock. `max_cells` bounds
-/// the sweep for quick checks (0 = all).
-pub fn throughput_guard(
-    baseline_json: &str,
-    tolerance: f64,
-    max_cells: usize,
-) -> Result<GuardReport, String> {
-    let (accesses, seed, mut cells) = parse_baseline(baseline_json)?;
-    if max_cells > 0 {
-        cells.truncate(max_cells);
-    }
-    let cfg = ExperimentConfig { accesses_per_core: accesses, seed, ..Default::default() };
+/// accessors polled after the run) — and compare: the three runs'
+/// metrics must be identical and their simulated cycles must match the
+/// row exactly (observability off changes nothing), and both A/B wall
+/// deltas must be within `tolerance` (the machine-independent zero-cost
+/// proofs).
+pub fn throughput_guard(cfg: &ExperimentConfig, rows: &[Row], tolerance: f64) -> GuardReport {
     let mut mismatches = Vec::new();
-    let mut baseline_seconds = 0.0;
     let mut plain_seconds = 0.0;
     let mut off_seconds = 0.0;
     let mut obs_seconds = 0.0;
     let progress = pac_obs::ProgressSink::disabled();
-    for (i, cell) in cells.iter().enumerate() {
-        let Some(bench) = Bench::from_name(&cell.bench) else {
-            return Err(format!("baseline names unknown benchmark '{}'", cell.bench));
-        };
-        let kind = match cell.kind.as_str() {
-            "raw" => CoalescerKind::Raw,
-            "mshr-dmc" => CoalescerKind::MshrDmc,
-            "pac" => CoalescerKind::Pac,
-            other => return Err(format!("baseline names unknown coalescer '{other}'")),
-        };
+    for (i, row) in rows.iter().enumerate() {
+        let MatrixCell { bench, kind } = row.cell;
+        let label = row.cell.label();
         let t = Instant::now();
-        let (m, _) = pac_sim::run_bench(bench, kind, &cfg);
+        let (m, _) = pac_sim::run_bench(bench, kind, cfg);
         plain_seconds += t.elapsed().as_secs_f64();
 
         let specs = single_process(bench, cfg.sim.cores, cfg.seed);
@@ -375,9 +268,9 @@ pub fn throughput_guard(
         let specs = single_process(bench, cfg.sim.cores, cfg.seed);
         let t = Instant::now();
         let id = pac_obs::CellId {
-            bench: &cell.bench,
-            kind: &cell.kind,
-            backend: "hmc",
+            bench: bench.name(),
+            kind: kind.label(),
+            backend: cfg.sim.backend.label(),
             config: "guard",
         };
         progress.cell_start(i, &id);
@@ -398,38 +291,27 @@ pub fn throughput_guard(
         // check so the optimizer cannot discard the polls.
         let polls_consistent = stalls.map_or(0, |s| s.total()) < u64::MAX;
 
-        baseline_seconds += cell.wall_seconds;
+        let diverged = |leg| format!("{label}: metrics diverge between plain and {leg} runs");
         if m != m_off {
-            mismatches.push(format!(
-                "{}/{}: metrics diverge between plain and TraceConfig::off() runs",
-                cell.bench, cell.kind
-            ));
+            mismatches.push(diverged("TraceConfig::off()"));
         }
         if m != m_obs || !polls_consistent {
-            mismatches.push(format!(
-                "{}/{}: metrics diverge between plain and observed-path runs",
-                cell.bench, cell.kind
-            ));
+            mismatches.push(diverged("observed-path"));
         }
-        if m.runtime_cycles != cell.simulated_cycles {
-            mismatches.push(format!(
-                "{}/{}: {} cycles, baseline {}",
-                cell.bench, cell.kind, m.runtime_cycles, cell.simulated_cycles
-            ));
+        if m.runtime_cycles != row.cycles {
+            let (got, want) = (m.runtime_cycles, row.cycles);
+            mismatches.push(format!("{label}: {got} cycles, reference {want}"));
         }
     }
-    Ok(GuardReport {
+    GuardReport {
         cycle_mismatches: mismatches,
-        baseline_seconds,
         plain_seconds,
         off_seconds,
         obs_seconds,
         ab_delta: off_seconds / plain_seconds - 1.0,
         obs_delta: obs_seconds / plain_seconds - 1.0,
-        wall_delta: plain_seconds / baseline_seconds - 1.0,
         tolerance,
-        wall_tolerance: tolerance * 5.0,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -516,63 +398,22 @@ mod tests {
     }
 
     #[test]
-    fn baseline_parser_reads_committed_document() {
-        let doc = crate::throughput::to_json(
-            &ExperimentConfig { accesses_per_core: 777, seed: 42, ..Default::default() },
-            &[
-                crate::throughput::Sweep {
-                    stepping: "every-cycle",
-                    wall_seconds: 2.0,
-                    cells: vec![],
-                },
-                crate::throughput::Sweep {
-                    stepping: "skip-ahead",
-                    wall_seconds: 1.0,
-                    cells: vec![crate::throughput::Cell {
-                        bench: "EP",
-                        kind: "pac",
-                        stepping: "skip-ahead",
-                        wall_seconds: 0.5,
-                        simulated_cycles: 12345,
-                        retired_accesses: 100,
-                    }],
-                },
-            ],
-            None,
-            None,
-        );
-        let (accesses, seed, cells) = parse_baseline(&doc).unwrap();
-        assert_eq!(accesses, 777);
-        assert_eq!(seed, 42);
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].bench, "EP");
-        assert_eq!(cells[0].simulated_cycles, 12345);
-        assert_eq!(cells[0].wall_seconds, 0.5);
-    }
-
-    #[test]
     fn guard_detects_cycle_mismatch() {
-        // A fabricated baseline with wrong cycle counts must fail.
+        // A table with one wrong count must fail, and with the true
+        // count it must pass (generous tolerance — this is a
+        // correctness test, not a benchmark).
         let cfg = ExperimentConfig { accesses_per_core: 400, ..Default::default() };
         let (m, _) = pac_sim::run_bench(Bench::Gs, CoalescerKind::Pac, &cfg);
-        let doc = format!(
-            "{{\n  \"accesses_per_core\": 400,\n  \"seed\": {},\n  \"sweeps\": [\n    {{\n      \
-             \"stepping\": \"skip-ahead\",\n      \"cells\": [\n        {{\"bench\": \"GS\", \
-             \"kind\": \"pac\", \"wall_seconds\": 0.1, \"simulated_cycles\": {}, \
-             \"retired_accesses\": 1}}\n      ]\n    }}\n  ]\n}}\n",
-            cfg.seed,
-            m.runtime_cycles + 1,
-        );
-        let report = throughput_guard(&doc, 10.0, 0).unwrap();
-        assert_eq!(report.cycle_mismatches.len(), 1);
+        let mut row = Row {
+            backend: cfg.sim.backend,
+            cell: MatrixCell { bench: Bench::Gs, kind: CoalescerKind::Pac },
+            cycles: m.runtime_cycles + 1,
+        };
+        let report = throughput_guard(&cfg, &[row], 1000.0);
+        assert_eq!(report.cycle_mismatches.len(), 1, "{}", report.render());
         assert!(!report.passed());
-        // And with the true count it passes (generous wall tolerance —
-        // this is a correctness test, not a benchmark).
-        let doc = doc.replace(
-            &format!("\"simulated_cycles\": {}", m.runtime_cycles + 1),
-            &format!("\"simulated_cycles\": {}", m.runtime_cycles),
-        );
-        let report = throughput_guard(&doc, 1000.0, 0).unwrap();
+        row.cycles = m.runtime_cycles;
+        let report = throughput_guard(&cfg, &[row], 1000.0);
         assert!(report.passed(), "{}", report.render());
     }
 }

@@ -1,6 +1,6 @@
-//! A mistyped flag must stop `conformance` and `throughput` before they
-//! simulate anything: exit 2 with the usage line, never a silent run of
-//! the wrong mode (or an overwrite of the committed baseline JSON).
+//! A mistyped flag must stop `conformance` before it simulates anything:
+//! exit 2 with the usage line, never a silent run of the wrong mode (or
+//! a rewrite of the committed cycle table).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -33,15 +33,13 @@ fn conformance_rejects_unknown_argument() {
 }
 
 #[test]
-fn throughput_rejects_unknown_argument() {
-    let dir = sandbox("throughput");
-    let out = Command::new(env!("CARGO_BIN_EXE_throughput"))
-        .args(["--gat", "--quick"])
-        .current_dir(&dir)
-        .env_remove("PAC_TP_OUT")
+fn conformance_bless_typo_leaves_the_table_alone() {
+    let table = pac_bench::reference::PATH;
+    let before = std::fs::read(table).expect("read the committed table");
+    let out = Command::new(env!("CARGO_BIN_EXE_conformance"))
+        .arg("--bles")
         .output()
-        .expect("spawn throughput");
-    assert_usage_error(&out, "--gat");
-    assert!(!dir.join("BENCH_throughput.json").exists(), "the baseline must not be written");
-    std::fs::remove_dir_all(&dir).ok();
+        .expect("spawn conformance");
+    assert_usage_error(&out, "--bles");
+    assert_eq!(std::fs::read(table).expect("re-read the table"), before, "the table changed");
 }

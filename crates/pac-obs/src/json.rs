@@ -1,11 +1,9 @@
 //! A minimal JSON reader for the progress stream.
 //!
 //! The workspace builds offline with no serde, so the aggregator parses
-//! its own wire format the same way `pac-bench` parses its committed
-//! throughput baseline: by hand. Unlike the baseline's string-scanning,
-//! progress events nest (histogram parts are arrays of arrays), so this
-//! module is a tiny recursive-descent parser over a full [`Json`] value
-//! tree. Numbers keep their raw source text alongside the `f64` so
+//! its own wire format by hand. Progress events nest (histogram parts
+//! are arrays of arrays), so this module is a tiny recursive-descent
+//! parser over a full [`Json`] value tree. Numbers keep their raw source text alongside the `f64` so
 //! `u64` counters round-trip exactly — cycle counts exceed the 2^53
 //! float-exact range on long campaigns.
 

@@ -1,11 +1,10 @@
-//! One-call experiment execution, serial or parallel across benchmarks.
+//! One-call experiment execution.
 
 use crate::metrics::RunMetrics;
 use crate::system::{CoalescerKind, SimSystem, Stepping, TraceEntry};
 use pac_types::SimConfig;
 use pac_workloads::multiproc::{single_process, two_processes, CoreSpec};
 use pac_workloads::Bench;
-use std::collections::HashMap;
 
 /// Parameters shared by every run of an experiment.
 #[derive(Debug, Clone, Copy)]
@@ -77,58 +76,6 @@ pub fn run_pair(
     run_specs(two_processes(a, b, cfg.sim.cores, cfg.seed), kind, cfg)
 }
 
-/// Apply `f` to every job on a bounded worker pool. Each worker claims
-/// the next unclaimed job index and writes the result into that job's
-/// pre-indexed slot, so `results[i] == f(&jobs[i])` and the output
-/// order is deterministic under any thread schedule. Shared by the
-/// experiment matrix and the figure harness's trace prewarm.
-pub fn parallel_map<J, R, F>(jobs: &[J], f: F) -> Vec<R>
-where
-    J: Sync,
-    R: Send + Sync,
-    F: Fn(&J) -> R + Sync,
-{
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    let workers =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(jobs.len());
-    let slots: Vec<std::sync::OnceLock<R>> = (0..jobs.len()).map(|_| Default::default()).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let claimed = slots[i].set(f(job)).is_ok();
-                debug_assert!(claimed, "job {i} ran twice");
-            });
-        }
-    });
-    slots.into_iter().map(|slot| slot.into_inner().expect("every job ran")).collect()
-}
-
-/// Run `benches × kinds` in parallel (one thread per run, bounded by the
-/// host), returning metrics keyed by `(bench, kind)`.
-pub fn run_matrix(
-    benches: &[Bench],
-    kinds: &[CoalescerKind],
-    cfg: &ExperimentConfig,
-) -> HashMap<(Bench, CoalescerKind), RunMetrics> {
-    let mut jobs: Vec<(Bench, CoalescerKind)> = Vec::new();
-    for &b in benches {
-        for &k in kinds {
-            jobs.push((b, k));
-        }
-    }
-    parallel_map(&jobs, |&(bench, kind)| {
-        let (m, _) = run_bench(bench, kind, cfg);
-        ((bench, kind), m)
-    })
-    .into_iter()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,20 +96,6 @@ mod tests {
         let cfg = ExperimentConfig { capture_trace: true, ..quick_cfg() };
         let (_, trace) = run_bench(Bench::Bfs, CoalescerKind::Pac, &cfg);
         assert!(!trace.is_empty());
-    }
-
-    #[test]
-    fn matrix_runs_all_cells() {
-        let cfg = ExperimentConfig { accesses_per_core: 400, ..Default::default() };
-        let benches = [Bench::Stream, Bench::Bfs];
-        let kinds = [CoalescerKind::Raw, CoalescerKind::Pac];
-        let out = run_matrix(&benches, &kinds, &cfg);
-        assert_eq!(out.len(), 4);
-        for b in benches {
-            for k in kinds {
-                assert!(out[&(b, k)].raw_requests > 0);
-            }
-        }
     }
 
     #[test]

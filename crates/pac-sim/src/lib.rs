@@ -44,7 +44,7 @@ pub mod replay;
 pub mod system;
 pub mod trace_json;
 
-pub use experiment::{run_bench, run_matrix, run_pair, run_specs, ExperimentConfig};
+pub use experiment::{run_bench, run_pair, run_specs, ExperimentConfig};
 pub use metrics::RunMetrics;
 pub use recovery::{RecoveryLayer, RecoveryReport, ResponseVerdict, StuckTxn, WatchdogAction};
 pub use replay::{replay, replay_served, replay_with};

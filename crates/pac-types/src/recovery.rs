@@ -11,8 +11,9 @@
 //! disabled config costs one branch on the response path and nothing
 //! else, so clean-path cycle counts are bit-identical with recovery
 //! off. The conformance binary's `--recover` mode proves both halves —
-//! oracle-silent faulted runs with recovery on, exact
-//! `BENCH_throughput.json` reproduction with recovery off.
+//! oracle-silent faulted runs with recovery on, exact reproduction of
+//! the committed cycle table (`crates/pac-bench/reference/cycles.txt`)
+//! with recovery off.
 
 use crate::Cycle;
 

@@ -5,7 +5,8 @@
 //! has to produce *bit-identical* [`RunMetrics`] (and captured traces)
 //! to the retained cycle-by-cycle reference (`Stepping::EveryCycle`).
 //! These tests pin that contract for every coalescer kind across a
-//! spread of benchmarks with fixed seeds; `tests/proptests.rs` extends
+//! spread of benchmarks with fixed seeds, and over the whole experiment
+//! matrix on both memory backends; `tests/proptests.rs` extends
 //! the same assertion to randomized short workloads. Trace replay
 //! (`replay_with`, the figure path) makes the same promise and is pinned
 //! here too, on captured and hand-built traces.
@@ -51,6 +52,34 @@ fn skip_ahead_matches_every_cycle_reference() {
             assert_eq!(trace_slow, trace_fast, "{bench:?}/{kind:?}: traces diverged");
         }
     }
+}
+
+/// Every bench × coalescer cell of the experiment matrix on `backend`,
+/// at a small budget: the full metrics must match between steppings.
+fn assert_matrix_equivalent(backend: BackendKind) {
+    let cfg = |stepping| ExperimentConfig {
+        sim: SimConfig::for_backend(backend),
+        accesses_per_core: 400,
+        stepping,
+        ..Default::default()
+    };
+    for bench in Bench::ALL {
+        for &kind in &KINDS {
+            let (slow, _) = run_bench(bench, kind, &cfg(Stepping::EveryCycle));
+            let (fast, _) = run_bench(bench, kind, &cfg(Stepping::SkipAhead));
+            assert_eq!(slow, fast, "{backend:?}/{bench:?}/{kind:?}: metrics diverged");
+        }
+    }
+}
+
+#[test]
+fn skip_ahead_matches_every_cycle_on_the_hmc_matrix() {
+    assert_matrix_equivalent(BackendKind::Hmc);
+}
+
+#[test]
+fn skip_ahead_matches_every_cycle_on_the_hbm_matrix() {
+    assert_matrix_equivalent(BackendKind::Hbm);
 }
 
 /// A second seed catches divergence hidden by the default seed's
