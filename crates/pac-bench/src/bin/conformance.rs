@@ -76,8 +76,7 @@ fn main() {
         eprintln!("{e}\n{USAGE}");
         std::process::exit(2);
     }
-    let quick =
-        args.iter().any(|a| a == "--quick") || std::env::var("PAC_QUICK").is_ok_and(|v| v != "0");
+    let quick = args.iter().any(|a| a == "--quick") || harness::quick_mode();
     let recover = args.iter().any(|a| a == "--recover");
     let ras = args.iter().any(|a| a == "--ras");
     let diff = args.iter().any(|a| a == "--diff");
@@ -125,14 +124,15 @@ fn main() {
     // Fault/recovery matrices are FaultClass::ALL x CoalescerKind::ALL.
     let fault_cells =
         (pac_types::FaultClass::ALL.len() * pac_sim::CoalescerKind::ALL.len()) as u64;
+    let matrix_cells = matrix().len() as u64;
     let total_cells = if diff {
-        0 // diff cells are not streamed individually yet
+        matrix_cells
     } else if ras {
         (ras_classes_for(backend).len() * pac_sim::CoalescerKind::ALL.len()) as u64
     } else if recover {
         fault_cells
     } else {
-        pac_bench::matrix().len() as u64 + fault_cells
+        matrix_cells + fault_cells
     };
     progress.campaign_start(
         "conformance",
@@ -142,7 +142,7 @@ fn main() {
     );
 
     let failures = if diff {
-        run_diff(scale, &runner)
+        run_diff(scale, &runner, &progress)
     } else if ras {
         run_ras_mode(scale, quick, backend, &runner, &progress)
     } else if recover {
@@ -236,9 +236,9 @@ fn run_bless(runner: &ParallelRunner) {
 
 /// `--diff` phase: every matrix cell on both backends. Returns the
 /// failing cell count.
-fn run_diff(scale: ConformanceScale, runner: &ParallelRunner) -> u32 {
+fn run_diff(scale: ConformanceScale, runner: &ParallelRunner, progress: &ProgressSink) -> u32 {
     eprintln!("\n== differential matrix (conservation + identical served sets + silent oracles) ==");
-    let cells = diff_matrix(scale, runner);
+    let cells = diff_matrix(scale, runner, progress);
     let mut failures = 0u32;
     for cell in &cells {
         if cell.passed() {

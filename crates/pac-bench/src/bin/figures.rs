@@ -16,11 +16,16 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     args.retain(|a| a != "--quick");
+    let usage =
+        format!("usage: figures [--quick] <id>... | all\nids: {}", figures::ALL_IDS.join(", "));
+    // A mistyped or unsupported flag must not silently run the default
+    // (full-scale) set; figures sizes its pool from PAC_THREADS alone.
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("unknown argument '{flag}'\n{usage}");
+        std::process::exit(2);
+    }
     if args.is_empty() {
-        eprintln!(
-            "usage: figures [--quick] <id>... | all\nids: {}",
-            figures::ALL_IDS.join(", ")
-        );
+        eprintln!("{usage}");
         std::process::exit(2);
     }
     let ids: Vec<&str> = if args.iter().any(|a| a == "all") {

@@ -94,7 +94,7 @@ fn run() -> Result<(), BenchError> {
         let before = args.len();
         args.retain(|a| a != "--quick");
         args.len() != before
-    };
+    } || pac_bench::harness::quick_mode();
     // `--threads` fans `--all` cells across workers; each traced system
     // runs serially, so the parallelism is purely across independent
     // cells.

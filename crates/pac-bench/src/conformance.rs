@@ -14,7 +14,7 @@ use crate::reference;
 use crate::runner::ParallelRunner;
 use pac_obs::{CellId, ProgressSink};
 use pac_oracle::{Invariant, OracleConfig, OracleReport};
-use pac_serve::{run_supervised, SupervisePolicy};
+use pac_serve::scheduler::panic_reason;
 use pac_sim::system::run_lockstep;
 use pac_sim::{
     run_bench, CoalescerKind, ExperimentConfig, LockstepOutcome, RecoveryReport, SimSystem,
@@ -25,6 +25,8 @@ use pac_types::{
 };
 use pac_workloads::multiproc::single_process;
 use pac_workloads::Bench;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 /// One cell of the clean conformance matrix.
 pub struct CleanCell {
@@ -105,17 +107,54 @@ fn fault_seed(class: FaultClass, kind: CoalescerKind) -> u64 {
 }
 
 /// The `config` label conformance cells carry on the progress stream.
-fn scale_label(scale: ConformanceScale) -> String {
+pub(crate) fn scale_label(scale: ConformanceScale) -> String {
     format!("accesses={} cores={}", scale.accesses_per_core, scale.cores)
 }
 
-/// Supervision policy for conformance fan-outs: the scheduler pool's
-/// defaults, seeded so retry backoff is reproducible.
-fn supervise_policy() -> SupervisePolicy {
-    SupervisePolicy { seed: 0xC0FF, ..SupervisePolicy::default() }
+/// Every class × coalescer, class-major: the fault, recovery and RAS
+/// job lists.
+fn by_coalescer<C: Copy>(classes: impl IntoIterator<Item = C>) -> Vec<(C, CoalescerKind)> {
+    classes.into_iter().flat_map(|c| CoalescerKind::ALL.map(|k| (c, k))).collect()
 }
 
-/// An all-zero oracle report for a quarantined (never-completed) cell.
+/// The one fan-out behind every conformance matrix: run `jobs` on
+/// `runner`, streaming one `cell_start` and one `cell_finish` per job
+/// (`labels` gives its bench and kind fields) and then the fan-out's
+/// `worker_util`. `run` returns a job's cell, its verdict and its
+/// simulated cycles. A job that panics is caught once and reported as
+/// `cell_quarantined` plus a failing `cell_finish`, and `failed`
+/// synthesizes the failing cell that takes its row, so one bad cell
+/// never takes the sweep down. Results come back in job order.
+#[allow(clippy::too_many_arguments)] // the cell id's fields plus the three per-job closures
+pub(crate) fn run_matrix<J: Sync, R: Send + Sync>(
+    runner: &ParallelRunner,
+    progress: &ProgressSink,
+    backend: &str,
+    config: &str,
+    jobs: &[J],
+    labels: impl Fn(&J) -> [&'static str; 2] + Sync,
+    run: impl Fn(&J) -> (R, bool, u64) + Sync,
+    failed: impl Fn(&J) -> R + Sync,
+) -> Vec<R> {
+    let (cells, stats) = runner.run_observed(jobs, |seq, job| {
+        let [bench, kind] = labels(job);
+        let id = CellId { bench, kind, backend, config };
+        progress.cell_start(seq, &id);
+        let t = Instant::now();
+        let (cell, passed, cycles) =
+            catch_unwind(AssertUnwindSafe(|| run(job))).unwrap_or_else(|panic| {
+                progress.cell_quarantined(seq, 1, &panic_reason(&*panic));
+                (failed(job), false, 0)
+            });
+        let status = if passed { "pass" } else { "fail" };
+        progress.cell_finish(seq, &id, status, t.elapsed().as_secs_f64(), cycles);
+        cell
+    });
+    progress.worker_util(&stats);
+    cells
+}
+
+/// An all-zero oracle report for a cell that never completed.
 fn empty_oracle_report() -> OracleReport {
     OracleReport {
         violations: Vec::new(),
@@ -127,124 +166,83 @@ fn empty_oracle_report() -> OracleReport {
     }
 }
 
-/// Emit the end-of-cell progress events for one lockstep outcome.
-fn emit_cell(
-    progress: &ProgressSink,
-    seq: usize,
-    id: &CellId<'_>,
-    passed: bool,
-    wall_seconds: f64,
-    cycles: u64,
-) {
-    progress.cell_finish(seq, id, if passed { "pass" } else { "fail" }, wall_seconds, cycles);
-}
-
 /// Run the clean matrix: every benchmark × coalescer (the canonical
-/// [`matrix`] enumeration), oracle attached, no faults. Cells fan out
-/// across the supervised scheduler pool; each run is self-contained and
-/// results come back in matrix order, so the output is independent of
-/// thread count. A panicking cell is retried and then quarantined as a
-/// failing entry instead of tearing down the sweep.
+/// [`matrix`] enumeration), oracle attached, no faults. Each run is
+/// self-contained and results come back in matrix order, so the output
+/// is independent of thread count.
 pub fn clean_matrix(
     scale: ConformanceScale,
     backend: BackendKind,
     runner: &ParallelRunner,
     progress: &ProgressSink,
 ) -> Vec<CleanCell> {
-    let config = scale_label(scale);
-    let policy = supervise_policy();
-    let (cells, stats) = run_supervised(runner.threads(), &matrix(), &policy, |i, cell| {
-        let id = CellId {
-            bench: cell.bench.name(),
-            kind: cell.kind.label(),
-            backend: backend.label(),
-            config: &config,
-        };
-        progress.cell_start(i, &id);
-        let t = std::time::Instant::now();
-        let specs = single_process(cell.bench, scale.cores, 7);
-        let out = run_lockstep(
-            backend_sim(backend),
-            specs,
-            cell.kind,
-            scale.accesses_per_core,
-            None,
-            None,
-            None,
-            None,
-            scale.cycle_limit,
-        );
-        let passed = out.converged && out.oracle.is_clean();
-        emit_cell(
-            progress,
-            i,
-            &id,
-            passed,
-            t.elapsed().as_secs_f64(),
-            out.cycles,
-        );
-        CleanCell {
-            bench: cell.bench,
-            kind: cell.kind,
-            converged: out.converged,
-            report: out.oracle,
-        }
-    }, |i, cell, reason| {
-        progress.cell_quarantined(i, policy.max_attempts, reason);
-        CleanCell {
+    run_matrix(
+        runner,
+        progress,
+        backend.label(),
+        &scale_label(scale),
+        &matrix(),
+        |cell| [cell.bench.name(), cell.kind.label()],
+        |cell| {
+            let specs = single_process(cell.bench, scale.cores, 7);
+            let out = run_lockstep(
+                backend_sim(backend),
+                specs,
+                cell.kind,
+                scale.accesses_per_core,
+                None,
+                None,
+                None,
+                None,
+                scale.cycle_limit,
+            );
+            let result = CleanCell {
+                bench: cell.bench,
+                kind: cell.kind,
+                converged: out.converged,
+                report: out.oracle,
+            };
+            let passed = result.passed();
+            (result, passed, out.cycles)
+        },
+        |cell| CleanCell {
             bench: cell.bench,
             kind: cell.kind,
             converged: false,
             report: empty_oracle_report(),
-        }
-    });
-    progress.supervisor(&stats);
-    cells
+        },
+    )
 }
 
 /// Run the fault matrix: every fault class × coalescer on one
-/// representative benchmark, fanned out across the supervised pool.
+/// representative benchmark.
 pub fn fault_matrix(
     scale: ConformanceScale,
     backend: BackendKind,
     runner: &ParallelRunner,
     progress: &ProgressSink,
 ) -> Vec<FaultCell> {
-    let mut jobs = Vec::new();
-    for &class in &FaultClass::ALL {
-        for kind in CoalescerKind::ALL {
-            jobs.push((class, kind));
-        }
-    }
-    let config = scale_label(scale);
-    let policy = supervise_policy();
-    let (cells, stats) = run_supervised(runner.threads(), &jobs, &policy, |i, &(class, kind)| {
-        let id = CellId {
-            bench: class.label(),
-            kind: kind.label(),
-            backend: backend.label(),
-            config: &config,
-        };
-        progress.cell_start(i, &id);
-        let t = std::time::Instant::now();
-        let out = run_fault(class, kind, scale, backend);
-        let result =
-            FaultCell { class, kind, faults_injected: out.faults_injected, report: out.oracle };
-        emit_cell(
-            progress,
-            i,
-            &id,
-            result.detected(),
-            t.elapsed().as_secs_f64(),
-            out.cycles,
-        );
-        result
-    }, |i, &(class, kind), reason| {
-        progress.cell_quarantined(i, policy.max_attempts, reason);
-        FaultCell { class, kind, faults_injected: 0, report: empty_oracle_report() }
-    });
-    progress.supervisor(&stats);
-    cells
+    run_matrix(
+        runner,
+        progress,
+        backend.label(),
+        &scale_label(scale),
+        &by_coalescer(FaultClass::ALL),
+        |&(class, kind)| [class.label(), kind.label()],
+        |&(class, kind)| {
+            let out = run_fault(class, kind, scale, backend);
+            let result =
+                FaultCell { class, kind, faults_injected: out.faults_injected, report: out.oracle };
+            let passed = result.detected();
+            (result, passed, out.cycles)
+        },
+        |&(class, kind)| FaultCell {
+            class,
+            kind,
+            faults_injected: 0,
+            report: empty_oracle_report(),
+        },
+    )
 }
 
 /// One cell of the recovery matrix: a fault-armed run with the
@@ -298,46 +296,28 @@ pub fn recovery_matrix(
     progress: &ProgressSink,
 ) -> Vec<RecoveryCell> {
     let cfg = RecoveryConfig::enabled();
-    let mut jobs = Vec::new();
-    for &class in &FaultClass::ALL {
-        for kind in CoalescerKind::ALL {
-            jobs.push((class, kind));
-        }
-    }
-    let config = scale_label(scale);
-    let policy = supervise_policy();
-    let (cells, stats) = run_supervised(runner.threads(), &jobs, &policy, |i, &(class, kind)| {
-        let id = CellId {
-            bench: class.label(),
-            kind: kind.label(),
-            backend: backend.label(),
-            config: &config,
-        };
-        progress.cell_start(i, &id);
-        let t = std::time::Instant::now();
-        let out = run_fault_with(class, kind, scale, Some(cfg), backend);
-        let recovery = out.recovery.expect("recovery-enabled run must produce a report");
-        let result = RecoveryCell {
-            class,
-            kind,
-            converged: out.converged,
-            faults_injected: out.faults_injected,
-            report: out.oracle,
-            recovery,
-            max_retries: cfg.max_retries,
-        };
-        emit_cell(
-            progress,
-            i,
-            &id,
-            result.passed(),
-            t.elapsed().as_secs_f64(),
-            out.cycles,
-        );
-        result
-    }, |i, &(class, kind), reason| {
-        progress.cell_quarantined(i, policy.max_attempts, reason);
-        RecoveryCell {
+    run_matrix(
+        runner,
+        progress,
+        backend.label(),
+        &scale_label(scale),
+        &by_coalescer(FaultClass::ALL),
+        |&(class, kind)| [class.label(), kind.label()],
+        |&(class, kind)| {
+            let out = run_fault_with(class, kind, scale, Some(cfg), backend);
+            let result = RecoveryCell {
+                class,
+                kind,
+                converged: out.converged,
+                faults_injected: out.faults_injected,
+                report: out.oracle,
+                recovery: out.recovery.expect("recovery-enabled run must produce a report"),
+                max_retries: cfg.max_retries,
+            };
+            let passed = result.passed();
+            (result, passed, out.cycles)
+        },
+        |&(class, kind)| RecoveryCell {
             class,
             kind,
             converged: false,
@@ -354,10 +334,8 @@ pub fn recovery_matrix(
                 stuck: Vec::new(),
             },
             max_retries: cfg.max_retries,
-        }
-    });
-    progress.supervisor(&stats);
-    cells
+        },
+    )
 }
 
 /// One armed run with the recovery layer absent (detection-only).
@@ -476,55 +454,38 @@ pub fn run_ras(
 }
 
 /// Run the RAS matrix: every [`RasClass`] native to `backend` × every
-/// coalescer, fanned out across the supervised pool. Passing cells
-/// prove each hardware fault class is injected, detected, and
-/// *survived* with the oracle silent and conservation intact.
+/// coalescer. Passing cells prove each hardware fault class is
+/// injected, detected, and *survived* with the oracle silent and
+/// conservation intact.
 pub fn ras_matrix(
     scale: ConformanceScale,
     backend: BackendKind,
     runner: &ParallelRunner,
     progress: &ProgressSink,
 ) -> Vec<RasCell> {
-    let mut jobs = Vec::new();
-    for class in ras_classes_for(backend) {
-        for kind in CoalescerKind::ALL {
-            jobs.push((class, kind));
-        }
-    }
-    let config = scale_label(scale);
-    let policy = supervise_policy();
-    let (cells, stats) = run_supervised(runner.threads(), &jobs, &policy, |i, &(class, kind)| {
-        let id = CellId {
-            bench: class.label(),
-            kind: kind.label(),
-            backend: backend.label(),
-            config: &config,
-        };
-        progress.cell_start(i, &id);
-        let t = std::time::Instant::now();
-        let out = run_ras(class, kind, scale, backend);
-        let stats = out.ras_stats.unwrap_or_default();
-        let result = RasCell {
-            class,
-            kind,
-            converged: out.converged,
-            events: stats.events_for(class),
-            stats,
-            report: out.oracle,
-            recovery: out.recovery,
-        };
-        emit_cell(
-            progress,
-            i,
-            &id,
-            result.passed(),
-            t.elapsed().as_secs_f64(),
-            out.cycles,
-        );
-        result
-    }, |i, &(class, kind), reason| {
-        progress.cell_quarantined(i, policy.max_attempts, reason);
-        RasCell {
+    run_matrix(
+        runner,
+        progress,
+        backend.label(),
+        &scale_label(scale),
+        &by_coalescer(ras_classes_for(backend)),
+        |&(class, kind)| [class.label(), kind.label()],
+        |&(class, kind)| {
+            let out = run_ras(class, kind, scale, backend);
+            let stats = out.ras_stats.unwrap_or_default();
+            let result = RasCell {
+                class,
+                kind,
+                converged: out.converged,
+                events: stats.events_for(class),
+                stats,
+                report: out.oracle,
+                recovery: out.recovery,
+            };
+            let passed = result.passed();
+            (result, passed, out.cycles)
+        },
+        |&(class, kind)| RasCell {
             class,
             kind,
             converged: false,
@@ -532,10 +493,8 @@ pub fn ras_matrix(
             stats: RasStats::default(),
             report: empty_oracle_report(),
             recovery: None,
-        }
-    });
-    progress.supervisor(&stats);
-    cells
+        },
+    )
 }
 
 /// One row of the degraded-mode throughput table.
@@ -785,6 +744,48 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(rows[1].stats.scrub_hits > 0, "scrub-on row modeled no windows");
         assert!(rows.iter().all(|r| r.cycles > 0));
+    }
+
+    /// `run_matrix` isolates a panicking job: its row is the synthesized
+    /// failing cell, every other row keeps job order, and the stream
+    /// carries one start and one finish per job, one quarantine with the
+    /// panic's message, and the pool's worker stats.
+    #[test]
+    fn panicking_job_is_quarantined_in_its_row() {
+        let jobs: Vec<u32> = (0..7).collect();
+        for threads in [1, 3] {
+            let (sink, buf) = ProgressSink::to_buffer();
+            let cells = run_matrix(
+                &ParallelRunner::new(threads),
+                &sink,
+                "hmc",
+                "test",
+                &jobs,
+                |_| ["job", "pac"],
+                |&j| {
+                    assert!(j != 4, "job {j} wedged");
+                    (j * 10, true, u64::from(j))
+                },
+                |&j| j + 1000,
+            );
+            assert_eq!(cells, [0, 10, 20, 30, 1004, 50, 60], "{threads} threads");
+            let text = buf.contents();
+            let events = |ev: &str| -> Vec<String> {
+                let tag = format!("\"ev\":\"{ev}\"");
+                text.lines().filter(|l| l.contains(&tag)).map(str::to_string).collect()
+            };
+            let quarantined = events("cell_quarantined");
+            assert_eq!(quarantined.len(), 1, "{text}");
+            assert!(quarantined[0].contains("\"seq\":4,"), "{text}");
+            assert!(quarantined[0].contains("\"reason\":\"panic: job 4 wedged"), "{text}");
+            assert_eq!(events("cell_start").len(), jobs.len(), "{text}");
+            let finishes = events("cell_finish");
+            assert_eq!(finishes.len(), jobs.len(), "{text}");
+            let failing: Vec<_> = finishes.iter().filter(|l| l.contains("\"fail\"")).collect();
+            assert_eq!(failing.len(), 1, "{text}");
+            assert!(failing[0].contains("\"seq\":4,"), "{text}");
+            assert_eq!(events("worker_util").len(), 1, "{text}");
+        }
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! request fails here even if its own oracle run happens to pass —
 //! the cross-backend set comparison has no tolerance band.
 
-use crate::conformance::{backend_sim, ConformanceScale};
+use crate::conformance::{backend_sim, run_matrix, scale_label, ConformanceScale};
 use crate::matrix::matrix;
 use crate::runner::ParallelRunner;
+use pac_obs::ProgressSink;
 use pac_sim::system::run_lockstep;
 use pac_sim::{replay_served, run_bench, CoalescerKind, ExperimentConfig};
 use pac_types::{BackendKind, SimConfig};
@@ -37,6 +38,8 @@ pub struct DiffCell {
     /// Size of the agreed served-id set (identical across backends on a
     /// passing cell).
     pub served: usize,
+    /// Simulated cycles of the two execution-driven runs, summed.
+    pub cycles: u64,
     pub failures: Vec<String>,
 }
 
@@ -54,17 +57,42 @@ fn cell_sim(backend: BackendKind, cores: u32) -> SimConfig {
     SimConfig { cores, ..backend_sim(backend) }
 }
 
-/// Run the full differential matrix, fanned out across `runner`'s
-/// workers. Deterministic at any thread count: each cell is
-/// self-contained and results return in matrix order.
-pub fn diff_matrix(scale: ConformanceScale, runner: &ParallelRunner) -> Vec<DiffCell> {
-    runner.run(&matrix(), |_, cell| diff_cell(cell.bench, cell.kind, scale))
+/// Run the full differential matrix through the conformance fan-out,
+/// its cell events labelled with backend `both`. Deterministic at any
+/// thread count: each cell is self-contained and results return in
+/// matrix order.
+pub fn diff_matrix(
+    scale: ConformanceScale,
+    runner: &ParallelRunner,
+    progress: &ProgressSink,
+) -> Vec<DiffCell> {
+    run_matrix(
+        runner,
+        progress,
+        "both",
+        &scale_label(scale),
+        &matrix(),
+        |cell| [cell.bench.name(), cell.kind.label()],
+        |cell| {
+            let result = diff_cell(cell.bench, cell.kind, scale);
+            let (passed, cycles) = (result.passed(), result.cycles);
+            (result, passed, cycles)
+        },
+        |cell| DiffCell {
+            bench: cell.bench,
+            kind: cell.kind,
+            served: 0,
+            cycles: 0,
+            failures: vec!["cell panicked".to_string()],
+        },
+    )
 }
 
 /// Run one differential cell: both execution-agreement runs plus the
 /// served-set identity check.
 pub fn diff_cell(bench: Bench, kind: CoalescerKind, scale: ConformanceScale) -> DiffCell {
     let mut failures = Vec::new();
+    let mut cycles = 0;
 
     // Check 1: oracle-silent execution-driven run per backend.
     for backend in BackendKind::ALL {
@@ -80,6 +108,7 @@ pub fn diff_cell(bench: Bench, kind: CoalescerKind, scale: ConformanceScale) -> 
             None,
             scale.cycle_limit,
         );
+        cycles += out.cycles;
         if !out.converged {
             failures.push(format!("{}: execution run did not converge", backend.label()));
         }
@@ -100,7 +129,7 @@ pub fn diff_cell(bench: Bench, kind: CoalescerKind, scale: ConformanceScale) -> 
     let (_, trace) = run_bench(bench, kind, &cap);
     if trace.is_empty() {
         failures.push("capture run produced an empty trace".to_string());
-        return DiffCell { bench, kind, served: 0, failures };
+        return DiffCell { bench, kind, served: 0, cycles, failures };
     }
 
     let mut sets: Vec<Vec<u64>> = Vec::new();
@@ -131,7 +160,7 @@ pub fn diff_cell(bench: Bench, kind: CoalescerKind, scale: ConformanceScale) -> 
         ));
     }
 
-    DiffCell { bench, kind, served, failures }
+    DiffCell { bench, kind, served, cycles, failures }
 }
 
 #[cfg(test)]
@@ -164,8 +193,9 @@ mod tests {
             cores: 2,
             cycle_limit: 600_000,
         };
-        let serial = diff_matrix(scale, &ParallelRunner::new(1));
-        let wide = diff_matrix(scale, &ParallelRunner::new(4));
+        let sink = ProgressSink::disabled();
+        let serial = diff_matrix(scale, &ParallelRunner::new(1), &sink);
+        let wide = diff_matrix(scale, &ParallelRunner::new(4), &sink);
         assert_eq!(serial.len(), wide.len());
         for (a, b) in serial.iter().zip(&wide) {
             assert_eq!(a.bench, b.bench);

@@ -1,6 +1,6 @@
-//! A mistyped flag must stop `conformance` before it simulates anything:
-//! exit 2 with the usage line, never a silent run of the wrong mode (or
-//! a rewrite of the committed cycle table).
+//! A mistyped flag must stop `conformance` and `figures` before they
+//! simulate anything: exit 2 with the usage line, never a silent run of
+//! the wrong mode (or a rewrite of the committed cycle table).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -42,4 +42,15 @@ fn conformance_bless_typo_leaves_the_table_alone() {
         .expect("spawn conformance");
     assert_usage_error(&out, "--bles");
     assert_eq!(std::fs::read(table).expect("re-read the table"), before, "the table changed");
+}
+
+#[test]
+fn figures_rejects_flags_other_than_quick_even_with_all() {
+    let cases: [(&[&str], &str); 2] =
+        [(&["--quik", "all"], "--quik"), (&["--quick", "--threads", "2", "all"], "--threads")];
+    for (args, flag) in cases {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_figures")).args(args).output().expect("spawn figures");
+        assert_usage_error(&out, flag);
+    }
 }

@@ -33,7 +33,7 @@ impl Default for BackoffConfig {
 }
 
 impl BackoffConfig {
-    /// A near-immediate schedule for tests and in-process pools.
+    /// A near-immediate schedule for tests.
     pub fn fast() -> Self {
         BackoffConfig { base_ms: 1, factor: 2, cap_ms: 20, jitter_percent: 0 }
     }

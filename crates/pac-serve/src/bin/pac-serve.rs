@@ -55,6 +55,14 @@ fn parse_u64(s: &str, flag: &str) -> u64 {
     })
 }
 
+/// A count flag: a value past u32 is a usage error, never a wrap.
+fn parse_u32(s: &str, flag: &str) -> u32 {
+    u32::try_from(parse_u64(s, flag)).unwrap_or_else(|_| {
+        eprintln!("{flag}: '{s}' is out of range (at most {})", u32::MAX);
+        usage();
+    })
+}
+
 struct Opts {
     cmd: String,
     spec: Option<PathBuf>,
@@ -97,9 +105,9 @@ fn parse_args() -> Opts {
             }
             "--respawn-budget" => {
                 opts.respawn_budget =
-                    parse_u64(&value(&mut it, "--respawn-budget"), "--respawn-budget") as u32
+                    parse_u32(&value(&mut it, "--respawn-budget"), "--respawn-budget")
             }
-            "--kills" => opts.kills = parse_u64(&value(&mut it, "--kills"), "--kills") as u32,
+            "--kills" => opts.kills = parse_u32(&value(&mut it, "--kills"), "--kills"),
             "--chaos-seed" => {
                 opts.chaos_seed = parse_u64(&value(&mut it, "--chaos-seed"), "--chaos-seed")
             }

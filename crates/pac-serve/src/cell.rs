@@ -188,8 +188,7 @@ fn finish(mut sys: SimSystem, _cell: &CellSpec) -> Result<CellFingerprint, Strin
 }
 
 /// Run one cell start-to-finish in the calling thread with no
-/// preemption — the reference path the chaos harness compares against,
-/// and the building block for in-process supervised pools.
+/// preemption — the reference path the chaos harness compares against.
 pub fn run_to_completion(cell: &CellSpec, spec: &CampaignSpec) -> Result<CellFingerprint, String> {
     match advance_lease(build(cell, spec), cell, spec, None, &|| {})? {
         CellStep::Done(fp) => Ok(fp),

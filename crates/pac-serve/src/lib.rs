@@ -17,20 +17,16 @@
 //! * [`cell`] — executing one cell (build / restore / advance / verify)
 //! * [`backoff`] — deterministic seeded retry schedules
 //! * [`scheduler`] — the supervised scheduler main loop
-//! * [`pool`] — in-process supervised fan-out (no journal) for
-//!   `pac-bench`'s conformance matrices
 //! * [`chaos`] — the self-kill chaos harness and its verifier
 
 pub mod backoff;
 pub mod cell;
 pub mod chaos;
 pub mod journal;
-pub mod pool;
 pub mod scheduler;
 pub mod spec;
 
 pub use backoff::BackoffConfig;
 pub use journal::{CellFingerprint, CellStatus, Journal, Record, Replay};
-pub use pool::{run_supervised, SupervisePolicy};
 pub use scheduler::{run_fresh, run_resumed, CampaignReport, SchedulerConfig};
 pub use spec::{CampaignSpec, CellSpec};

@@ -258,17 +258,17 @@ fn execute_lease(
         };
         cell::advance_lease(sys, &job.cell, spec, quantum, tick)
     };
-    match catch_unwind(AssertUnwindSafe(run)) {
-        Ok(result) => result,
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(format!("panic: {msg}"))
-        }
-    }
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| Err(panic_reason(&*panic)))
+}
+
+/// A caught panic's payload as a failure reason, `panic: <message>`.
+pub fn panic_reason(panic: &(dyn std::any::Any + Send)) -> String {
+    let msg = panic
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    format!("panic: {msg}")
 }
 
 fn spawn_slot(id: u64, spec: &CampaignSpec, epoch: Instant, tx: &Sender<WorkerMsg>) -> Slot {

@@ -244,4 +244,16 @@ fn usage_errors_exit_2() {
 
     let out = run(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2), "unknown subcommand must exit 2");
+
+    // A count past u32 must not wrap: 2^32 kills would run as zero and
+    // pass without a single kill.
+    let sb = Sandbox::new("range", SPEC);
+    let (spec, state) = (path_str(&sb.spec()), path_str(&sb.state()));
+    for flag in ["--kills", "--respawn-budget"] {
+        let out = run(&["chaos", "--spec", &spec, "--state-dir", &state, flag, "4294967296"]);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag} out of range must exit 2: {stderr}");
+        assert!(stderr.contains(&format!("{flag}: '4294967296'")), "{stderr}");
+        assert!(!sb.state().exists(), "{flag}: nothing may run before the usage error");
+    }
 }

@@ -12,7 +12,8 @@
 //! hand-edited or truncated trace file reports *where* it broke. Entry
 //! cycles must be non-decreasing, as replay's due window assumes and as
 //! captured traces are; an entry stamped before its predecessor is
-//! refused with an error naming it.
+//! refused with an error naming it. A `core` or `data_bytes` value past
+//! its field's width (u8, u32) is refused too, never truncated.
 
 use crate::system::TraceEntry;
 use pac_types::{Op, RequestKind};
@@ -141,8 +142,8 @@ impl Parser<'_> {
             match key.as_str() {
                 "cycle" => cycle = Some(self.parse_u64()?),
                 "addr" => addr = Some(self.parse_u64()?),
-                "data_bytes" => data_bytes = Some(self.parse_u64()? as u32),
-                "core" => core = Some(self.parse_u64()? as u8),
+                "data_bytes" => data_bytes = Some(self.parse_bounded("data_bytes", u32::MAX)?),
+                "core" => core = Some(self.parse_bounded("core", u8::MAX)?),
                 "op" => {
                     op = Some(match self.parse_string()?.as_str() {
                         "Load" => Op::Load,
@@ -215,6 +216,20 @@ impl Parser<'_> {
             return Err(self.err("expected a number"));
         }
         Ok(value)
+    }
+
+    /// A number for a field narrower than u64; a value past `max` (the
+    /// field type's maximum) is a located error naming the field.
+    fn parse_bounded<T>(&mut self, field: &str, max: T) -> Result<T, TraceJsonError>
+    where
+        T: TryFrom<u64> + fmt::Display,
+    {
+        self.skip_ws();
+        let start = self.pos;
+        let value = self.parse_u64()?;
+        T::try_from(value).map_err(|_| {
+            self.err_at(start, &format!("{field} {value} out of range (at most {max})"))
+        })
     }
 
     fn skip_ws(&mut self) {
@@ -343,5 +358,26 @@ mod tests {
         let err = from_json(text).expect_err("overflowing u64");
         assert!(err.msg.contains("out of range"), "{err}");
         assert_eq!(err.line, 1);
+    }
+
+    #[test]
+    fn narrow_fields_past_their_bound_are_located_errors() {
+        let entry = |data_bytes: u64, core: u64| {
+            format!(
+                "[{{\"cycle\":1,\"addr\":2,\"op\":\"Load\",\"kind\":\"Miss\",\
+                 \"data_bytes\":{data_bytes},\"core\":{core}}}]"
+            )
+        };
+        let text = entry(8, 300);
+        let err = from_json(&text).expect_err("core past u8");
+        assert_eq!(err.msg, "core 300 out of range (at most 255)", "{err}");
+        assert_eq!(err.byte, text.find("300").unwrap(), "points at the number: {err}");
+        let text = entry(4_294_967_304, 0);
+        let err = from_json(&text).expect_err("data_bytes past u32");
+        assert_eq!(err.msg, "data_bytes 4294967304 out of range (at most 4294967295)", "{err}");
+        assert_eq!(err.byte, text.find("4294967304").unwrap(), "points at the number: {err}");
+        // The bounds themselves still parse.
+        let t = from_json(&entry(u64::from(u32::MAX), 255)).expect("values at the bound");
+        assert_eq!((t[0].data_bytes, t[0].core), (u32::MAX, 255));
     }
 }

@@ -6,10 +6,10 @@
 //! not in `pac-obs` — because the producers (`pac-mem`, `hmc-sim`,
 //! `pac-bench`) sit below `pac-obs` in the dependency graph.
 //!
-//! Every type merges commutatively: accumulating per-worker or
-//! per-channel contributions in any order yields the same totals, which
-//! is what lets fanned-out runs report the same campaign-level numbers
-//! as serial ones.
+//! The stall and worker types merge commutatively: accumulating
+//! per-worker or per-channel contributions in any order yields the same
+//! totals, which is what lets fanned-out runs report the same
+//! campaign-level numbers as serial ones.
 
 use crate::Cycle;
 
@@ -136,56 +136,9 @@ pub struct SupervisorStats {
     pub preemptions: u64,
 }
 
-impl SupervisorStats {
-    /// Commutative element-wise accumulation (fold campaigns or
-    /// resumed segments in any order).
-    pub fn merge(&mut self, other: &SupervisorStats) {
-        self.leases += other.leases;
-        self.retries += other.retries;
-        self.quarantined += other.quarantined;
-        self.heartbeat_timeouts += other.heartbeat_timeouts;
-        self.workers_abandoned += other.workers_abandoned;
-        self.preemptions += other.preemptions;
-    }
-
-    /// True when the campaign needed no intervention at all.
-    pub fn is_zero(&self) -> bool {
-        *self == SupervisorStats::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn supervisor_stats_merge_is_elementwise() {
-        let mut a = SupervisorStats {
-            leases: 5,
-            retries: 2,
-            quarantined: 1,
-            heartbeat_timeouts: 1,
-            workers_abandoned: 0,
-            preemptions: 3,
-        };
-        let b = SupervisorStats {
-            leases: 7,
-            retries: 1,
-            quarantined: 0,
-            heartbeat_timeouts: 2,
-            workers_abandoned: 1,
-            preemptions: 0,
-        };
-        let mut ba = b;
-        ba.merge(&a);
-        a.merge(&b);
-        assert_eq!(a, ba, "merge must be commutative");
-        assert_eq!(a.leases, 12);
-        assert_eq!(a.retries, 3);
-        assert_eq!(a.preemptions, 3);
-        assert!(!a.is_zero());
-        assert!(SupervisorStats::default().is_zero());
-    }
 
     #[test]
     fn stall_cycles_merge_and_total() {
