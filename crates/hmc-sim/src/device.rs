@@ -16,11 +16,11 @@ use crate::vault::{QueuedRequest, ReadyResponse, Vault};
 use pac_trace::{DumpTrigger, EventKind, TraceHandle};
 use pac_types::protocol::FLIT_BYTES;
 use pac_types::{
-    BackendKind, Cycle, EventClass, FaultClass, FaultPlan, FaultPlanError, HmcDeviceConfig, Op,
-    RasClass, RasPlan, RasPlanError, RasStats,
+    BackendKind, Cycle, EventClass, FaultClass, FaultPlan, FaultPlanError, HmcDeviceConfig,
+    IdHash, Op, RasClass, RasPlan, RasPlanError, RasStats,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// A request presented to the device: a packetized read or write with a
 /// payload between one FLIT (16 B) and the row size (256 B).
@@ -154,7 +154,7 @@ pub struct Hmc {
     /// sequence for determinism).
     pending_rsp: BinaryHeap<Reverse<(Cycle, u64)>>,
     pending_seq: u64,
-    pending_store: std::collections::HashMap<u64, ReadyResponse>,
+    pending_store: HashMap<u64, ReadyResponse, IdHash>,
     inflight: usize,
     /// Bitset of vaults with a non-empty queue; `tick` visits only these
     /// (in ascending vault order, preserving the full-scan service
@@ -227,7 +227,7 @@ impl Hmc {
             completed: BinaryHeap::new(),
             pending_rsp: BinaryHeap::new(),
             pending_seq: 0,
-            pending_store: std::collections::HashMap::new(),
+            pending_store: HashMap::default(),
             inflight: 0,
             active: vec![0; (cfg.vaults as usize).div_ceil(64)],
             vault_next: vec![u64::MAX; cfg.vaults as usize],
@@ -658,6 +658,23 @@ impl Hmc {
         // start is needed.
         best = best.min(self.vault_next_min.max(now));
         (best != u64::MAX).then_some(best)
+    }
+
+    /// Earliest cycle ≥ `now` at which [`Hmc::pop_responses`] returns a
+    /// response, or `None` when none is on its way back. Vault issues
+    /// and data-ready hand-offs before that cycle stay inside the cube:
+    /// a response scheduled by one completes strictly after the tick
+    /// that schedules it. It is [`Hmc::next_event`] while a fault plan
+    /// is armed, because a dropped response changes [`Hmc::inflight`]
+    /// at its data-ready cycle, and on a zero-cycle return path, where a
+    /// response could complete inside the tick that schedules it.
+    pub fn next_visible(&self, now: Cycle) -> Option<Cycle> {
+        let min_return = self.cfg.xbar_local_cycles.min(self.cfg.xbar_remote_cycles)
+            + self.cfg.link_cycles_per_flit;
+        if self.fault_plan.is_some() || min_return == 0 {
+            return self.next_event(now);
+        }
+        self.completed.peek().map(|&Reverse((complete, ..))| complete.max(now))
     }
 
     /// Drain every response whose return completed by `now`.

@@ -6,9 +6,10 @@
 //! fig12a, fig12b, fig12c, fig13, fig14, fig15, ablation-timeout,
 //! ablation-streams, ablation-shared, ablation-hbm, or `all`.
 //!
-//! `PAC_ACCESSES` (env) overrides the per-core access budget (default
-//! 20 000). `--quick` (or `PAC_QUICK=1`) shrinks the budget so every
-//! figure smoke-runs in seconds.
+//! `--quick` (or `PAC_QUICK=1`) shrinks the per-core access budget
+//! (default 20 000) so every figure smoke-runs in seconds.
+//! `PAC_ACCESSES` (env) overrides the budget in either mode; a value
+//! that is not a positive integer exits 2.
 
 use pac_bench::{figures, Harness};
 
@@ -33,7 +34,10 @@ fn main() {
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
-    let mut h = if quick { Harness::quick() } else { Harness::default() };
+    let mut h = Harness::from_env(quick).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     for id in ids {
         match figures::run_figure(id, &mut h) {
             Some(text) => println!("{text}"),

@@ -24,7 +24,7 @@ fn main() {
         let before = args.len();
         args.retain(|a| a != "--quick");
         args.len() != before
-    } || pac_bench::harness::quick_mode();
+    };
     if args.len() < 3 {
         usage();
     }
@@ -42,7 +42,10 @@ fn main() {
         .map(|v| v.parse().unwrap_or_else(|_| usage()))
         .collect();
 
-    let mut h = if quick { Harness::quick() } else { Harness::default() };
+    let mut h = Harness::from_env(quick).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!(
         "{:<10} {:>10} {:>8} {:>8} {:>10} {:>9} {:>12}",
         "knob", "value", "eff %", "txeff %", "conflicts", "lat ns", "energy nJ"

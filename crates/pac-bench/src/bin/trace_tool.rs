@@ -35,7 +35,7 @@ fn load(path: &str) -> Result<Vec<TraceEntry>, BenchError> {
 fn main() {
     if let Err(e) = run() {
         eprintln!("{e}");
-        std::process::exit(1);
+        std::process::exit(if matches!(e, BenchError::Usage(_)) { 2 } else { 1 });
     }
 }
 
@@ -45,7 +45,7 @@ fn run() -> Result<(), BenchError> {
         let before = args.len();
         args.retain(|a| a != "--quick");
         args.len() != before
-    } || pac_bench::harness::quick_mode();
+    };
     match args.as_slice() {
         [cmd, bench, out] if cmd == "capture" => {
             let Some(bench) = Bench::from_name(bench) else {
@@ -55,7 +55,7 @@ fn run() -> Result<(), BenchError> {
                 );
                 std::process::exit(2);
             };
-            let mut h = if quick { Harness::quick() } else { Harness::default() };
+            let mut h = Harness::from_env(quick)?;
             let trace = h.trace(bench).to_vec();
             error::write(out, pac_sim::trace_json::to_json(&trace))?;
             println!("captured {} requests from {} into {out}", trace.len(), bench.name());

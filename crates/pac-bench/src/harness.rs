@@ -1,6 +1,7 @@
 //! Shared experiment plumbing: trace capture with caching, replay
 //! under each coalescer, and table formatting.
 
+use crate::error::BenchError;
 use pac_sim::{replay_with, run_bench, CoalescerKind, ExperimentConfig, RunMetrics, TraceEntry};
 use pac_workloads::Bench;
 use std::collections::HashMap;
@@ -15,26 +16,15 @@ pub struct Harness {
     replays: HashMap<(Bench, CoalescerKind), RunMetrics>,
 }
 
+/// The full budget, or the quick one under `PAC_QUICK`.
 impl Default for Harness {
     fn default() -> Self {
-        Self::new(ExperimentConfig {
-            accesses_per_core: default_accesses(),
-            capture_trace: true,
-            ..Default::default()
-        })
+        Self::with_accesses(if quick_mode() { QUICK_ACCESSES } else { FULL_ACCESSES })
     }
 }
 
-fn default_accesses() -> u64 {
-    if let Some(n) = std::env::var("PAC_ACCESSES").ok().and_then(|s| s.parse().ok()) {
-        return n;
-    }
-    if quick_mode() {
-        QUICK_ACCESSES
-    } else {
-        20_000
-    }
-}
+/// Per-core access budget of a full run.
+pub const FULL_ACCESSES: u64 = 20_000;
 
 /// Per-core access budget under `--quick` / `PAC_QUICK=1`.
 pub const QUICK_ACCESSES: u64 = 1_500;
@@ -49,14 +39,37 @@ impl Harness {
         Harness { cfg, traces: HashMap::new(), replays: HashMap::new() }
     }
 
-    /// A harness with the smoke-run access budget (`--quick`), small
-    /// enough that every figure regenerates in seconds.
-    pub fn quick() -> Self {
+    /// A trace-capturing harness at `accesses` per core.
+    fn with_accesses(accesses: u64) -> Self {
         Self::new(ExperimentConfig {
-            accesses_per_core: QUICK_ACCESSES,
+            accesses_per_core: accesses,
             capture_trace: true,
             ..Default::default()
         })
+    }
+
+    /// A harness with the smoke-run access budget (`--quick`), small
+    /// enough that every figure regenerates in seconds.
+    pub fn quick() -> Self {
+        Self::with_accesses(QUICK_ACCESSES)
+    }
+
+    /// The harness a binary runs: the full budget, or the quick one
+    /// under `quick` or `PAC_QUICK`, either overridden by
+    /// `PAC_ACCESSES`. A `PAC_ACCESSES` that is not a positive integer
+    /// is a usage error naming the variable.
+    pub fn from_env(quick: bool) -> Result<Self, BenchError> {
+        let accesses = match std::env::var("PAC_ACCESSES") {
+            Err(std::env::VarError::NotPresent) if quick || quick_mode() => QUICK_ACCESSES,
+            Err(std::env::VarError::NotPresent) => FULL_ACCESSES,
+            Ok(v) => v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+                BenchError::Usage(format!("PAC_ACCESSES must be a positive integer, got '{v}'"))
+            })?,
+            Err(e) => {
+                return Err(BenchError::Usage(format!("PAC_ACCESSES must be a positive integer: {e}")))
+            }
+        };
+        Ok(Self::with_accesses(accesses))
     }
 
     /// The configuration traces are *captured* under: an idealized

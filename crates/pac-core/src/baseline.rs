@@ -156,6 +156,12 @@ impl MemoryCoalescer for MshrDmc {
             || self.mshr.has_free()
     }
 
+    fn admission_epoch(&self) -> u64 {
+        // `would_accept` reads only the MSHR entries, and every
+        // allocate, merge and complete bumps the file's generation.
+        self.mshr.generation()
+    }
+
     fn note_refused_retries(&mut self, req: &MemRequest, _now: Cycle, n: u64) {
         // Each literal refused offer runs a failed merge scan (atomics
         // skip it) and then counts a stall against the full file.
@@ -275,6 +281,11 @@ impl MemoryCoalescer for NoCoalescing {
 
     fn would_accept(&self, req: &MemRequest) -> bool {
         req.kind == RequestKind::Fence || self.outstanding < self.outstanding_limit
+    }
+
+    fn admission_epoch(&self) -> u64 {
+        // `would_accept` reads only the outstanding count.
+        self.outstanding as u64
     }
 
     fn note_refused_retries(&mut self, _req: &MemRequest, _now: Cycle, n: u64) {

@@ -139,11 +139,11 @@ pub trait MemoryCoalescer {
 
     /// Earliest cycle ≥ `now` at which a `tick` could change state or
     /// record a per-cycle stat, or `None` when the coalescer is inert
-    /// until new input (a push or a completion) arrives. Used by the
-    /// event-driven simulation core to jump over idle cycles; answers
-    /// may be conservatively early (the extra tick is a no-op) but must
-    /// never be late. The default pins the clock every cycle, which is
-    /// always correct but forfeits skipping.
+    /// until new input (a push or a completion) arrives. The skip step
+    /// runs a system tick no later than this cycle; a `tick` before it
+    /// must be a no-op. Answers may be conservatively early (the extra
+    /// tick is a no-op) but must never be late. The default pins the
+    /// clock every cycle, which is always correct but forfeits skipping.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let _ = now;
         Some(now)
@@ -151,23 +151,36 @@ pub trait MemoryCoalescer {
 
     /// Pure admission predicate: whether `push_raw(req, ..)` would
     /// return `true` against the current state, with no side effects.
-    /// The event-driven clock uses it to prove that a refused request
-    /// stays refused across a jumped window (admission can only change
-    /// when the coalescer's state changes), so implementations must keep
-    /// it exactly in sync with `push_raw`'s accept/refuse decision. The
-    /// conservative default ("would accept") merely disables that skip —
-    /// the caller then ticks through the window cycle by cycle.
+    /// Implementations must keep it exactly in sync with `push_raw`'s
+    /// accept/refuse decision (the lockstep oracle checks the pair at
+    /// every offer). The skip step uses a `false` to prove that a
+    /// blocked request stays refused across a jumped window, and
+    /// records it as a refusal at the current [`Self::admission_epoch`].
+    /// The conservative default ("would accept") merely disables that
+    /// skip — the caller then ticks through the window cycle by cycle.
     fn would_accept(&self, _req: &MemRequest) -> bool {
         true
     }
 
+    /// A stamp of the state [`Self::would_accept`] reads: while it is
+    /// unchanged, `would_accept` gives the same answer for every
+    /// request. The simulator keeps a refusal memo keyed by it — a
+    /// blocked request already refused at the current epoch is charged
+    /// with [`Self::note_refused_retries`] instead of being offered
+    /// again — so every mutation that could flip a refusal must change
+    /// the stamp. A refused `push_raw` and `note_refused_retries` must
+    /// not move anything `would_accept` reads.
+    fn admission_epoch(&self) -> u64;
+
     /// Account `n` consecutive refused `push_raw` offers of `req` — one
-    /// per skipped cycle — without replaying them, leaving the coalescer
-    /// in exactly the state `n` literal refused offers would have (stall
-    /// counts, comparator activity, everything). Only called for a `req`
-    /// on which [`Self::would_accept`] returned `false` while the
-    /// coalescer's state is otherwise frozen. The default replays the
-    /// offers literally, which is always correct but O(`n`).
+    /// per skipped cycle or memoised retry — without replaying them,
+    /// leaving the coalescer in exactly the state `n` literal refused
+    /// offers would have (stall counts, comparator activity,
+    /// everything). Only called for a `req` on which
+    /// [`Self::would_accept`] returns `false` while the coalescer's
+    /// state is otherwise frozen, and it must not change
+    /// [`Self::admission_epoch`]. The default replays the offers
+    /// literally, which is always correct but O(`n`).
     fn note_refused_retries(&mut self, req: &MemRequest, now: Cycle, n: u64) {
         for _ in 0..n {
             let accepted = self.push_raw(*req, now);

@@ -18,8 +18,7 @@
 
 use crate::DispatchedRequest;
 use pac_types::addr::CACHE_LINE_BYTES;
-use pac_types::{CoalescedRequest, IdHash, Op, PAGE_BYTES};
-use std::collections::HashMap;
+use pac_types::{CoalescedRequest, Op, PAGE_BYTES};
 
 /// One occupied MSHR entry.
 #[derive(Debug, Clone)]
@@ -41,18 +40,6 @@ pub struct MshrEntry {
 }
 
 impl MshrEntry {
-    /// True if `req` can ride this entry's in-flight dispatch: both are
-    /// loads (a later store's data would be silently dropped if it
-    /// merged into an already-dispatched request) and `req`'s span lies
-    /// within the dispatched span.
-    fn covers(&self, req: &CoalescedRequest) -> bool {
-        self.mergeable
-            && self.op == Op::Load
-            && req.op == Op::Load
-            && req.addr >= self.addr
-            && req.addr + req.bytes <= self.addr + self.bytes
-    }
-
     /// The 2-bit subentry index for a line within this entry (0..4).
     pub fn block_index_of(&self, line_addr: u64) -> u8 {
         debug_assert!(line_addr >= self.addr && line_addr < self.addr + self.bytes);
@@ -60,25 +47,38 @@ impl MshrEntry {
     }
 }
 
+/// Per-slot lookup key, parallel to the entry array: the dispatch id a
+/// completion matches and the byte span a merge must lie within. Merge
+/// and completion scans read only this packed array (16 slots fit in a
+/// few cache lines) and touch an entry itself only on a span hit.
+#[derive(Debug, Clone, Copy)]
+struct SlotSpan {
+    dispatch_id: u64,
+    addr: u64,
+    end: u64,
+}
+
+impl SlotSpan {
+    fn of(e: &MshrEntry) -> Self {
+        SlotSpan { dispatch_id: e.dispatch_id, addr: e.addr, end: e.addr + e.bytes }
+    }
+}
+
 /// The MSHR file.
 ///
-/// Lookups are indexed: completions resolve through a dispatch-id map
-/// and merge candidates through a page-granular bucket map (a covering
-/// entry necessarily shares the candidate's 4 KB page, because no
-/// dispatched request spans a page). Both indexes track `entries` slot
-/// positions across `swap_remove` compaction. The `comparisons` counter
-/// still models the hardware's parallel comparator bank exactly as the
-/// linear scan did.
+/// Lookups scan a compact per-slot span array in slot order: the first
+/// covering slot is the lowest, as in the hardware's priority-encoded
+/// comparator bank, and `complete` compacts both arrays with the same
+/// `swap_remove`. The `comparisons` counter models that parallel bank:
+/// every merge attempt compares against every occupied entry.
 #[derive(Debug)]
 pub struct AdaptiveMshrFile {
     entries: Vec<MshrEntry>,
+    /// `SlotSpan::of(&entries[i])` for every slot `i`.
+    spans: Vec<SlotSpan>,
     capacity: usize,
     max_subentries: usize,
     next_dispatch_id: u64,
-    /// dispatch_id → index in `entries`.
-    by_dispatch: HashMap<u64, usize, IdHash>,
-    /// page number → indices of entries whose span lies in that page.
-    by_page: HashMap<u64, Vec<usize>, IdHash>,
     /// Bumped on every allocate/merge/complete: a `try_merge` whose
     /// outcome was negative stays negative until this changes, letting
     /// callers skip guaranteed-futile retries.
@@ -94,10 +94,7 @@ pac_types::snapshot_fields!(MshrEntry {
     dispatch_id, addr, bytes, op, raw_ids, subentries, mergeable
 });
 
-// Both lookup indexes are derived from the entry array: rebuilding them
-// in slot order reproduces the exact bucket contents an uninterrupted
-// run would hold (buckets gain indices in insertion order, and
-// `try_merge` picks the lowest slot regardless of bucket order).
+// The span array is derived from the entry array, slot for slot.
 impl pac_types::Snapshot for AdaptiveMshrFile {
     fn save(&self, w: &mut pac_types::SnapWriter) {
         self.entries.save(w);
@@ -110,28 +107,15 @@ impl pac_types::Snapshot for AdaptiveMshrFile {
     }
     fn load(r: &mut pac_types::SnapReader<'_>) -> Result<Self, pac_types::SnapError> {
         let entries = Vec::<MshrEntry>::load(r)?;
-        let capacity = usize::load(r)?;
-        let max_subentries = usize::load(r)?;
-        let next_dispatch_id = u64::load(r)?;
-        let generation = u64::load(r)?;
-        let comparisons = u64::load(r)?;
-        let merged_raw = u64::load(r)?;
-        let mut by_dispatch = HashMap::with_capacity_and_hasher(capacity, IdHash);
-        let mut by_page: HashMap<u64, Vec<usize>, IdHash> = HashMap::default();
-        for (i, e) in entries.iter().enumerate() {
-            by_dispatch.insert(e.dispatch_id, i);
-            by_page.entry(e.addr / PAGE_BYTES).or_default().push(i);
-        }
         Ok(AdaptiveMshrFile {
+            spans: entries.iter().map(SlotSpan::of).collect(),
             entries,
-            capacity,
-            max_subentries,
-            next_dispatch_id,
-            by_dispatch,
-            by_page,
-            generation,
-            comparisons,
-            merged_raw,
+            capacity: usize::load(r)?,
+            max_subentries: usize::load(r)?,
+            next_dispatch_id: u64::load(r)?,
+            generation: u64::load(r)?,
+            comparisons: u64::load(r)?,
+            merged_raw: u64::load(r)?,
         })
     }
 }
@@ -141,11 +125,10 @@ impl AdaptiveMshrFile {
         assert!(capacity > 0);
         AdaptiveMshrFile {
             entries: Vec::with_capacity(capacity),
+            spans: Vec::with_capacity(capacity),
             capacity,
             max_subentries,
             next_dispatch_id: 0,
-            by_dispatch: HashMap::with_capacity_and_hasher(capacity, IdHash),
-            by_page: HashMap::default(),
             generation: 0,
             comparisons: 0,
             merged_raw: 0,
@@ -156,11 +139,6 @@ impl AdaptiveMshrFile {
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    fn bucket_remove(bucket: &mut Vec<usize>, idx: usize) {
-        let pos = bucket.iter().position(|&i| i == idx).expect("entry is page-indexed");
-        bucket.swap_remove(pos);
     }
 
     #[inline]
@@ -183,35 +161,43 @@ impl AdaptiveMshrFile {
         self.entries.is_empty()
     }
 
+    /// Lowest slot whose entry can absorb `n` raw requests of op `op`
+    /// spanning `[addr, end)`: a mergeable load entry covering the span
+    /// with `n` subentry slots to spare.
+    fn covering_slot(&self, addr: u64, end: u64, op: Op, n: usize) -> Option<usize> {
+        // A later store's data would be silently dropped if it merged
+        // into an already-dispatched request, so only loads ride loads.
+        if op != Op::Load {
+            return None;
+        }
+        (0..self.spans.len()).find(|&i| {
+            let s = self.spans[i];
+            addr >= s.addr && end <= s.end && {
+                let e = &self.entries[i];
+                e.mergeable && e.op == Op::Load && e.subentries + n <= self.max_subentries
+            }
+        })
+    }
+
+    /// Ride slot `i`'s in-flight dispatch with `raw_ids`.
+    fn merge_into(&mut self, i: usize, raw_ids: &[u64]) {
+        let e = &mut self.entries[i];
+        e.subentries += raw_ids.len();
+        e.raw_ids.extend_from_slice(raw_ids);
+        self.merged_raw += raw_ids.len() as u64;
+        self.generation = self.generation.wrapping_add(1);
+    }
+
     /// Try to absorb `req` into an in-flight entry that already covers
-    /// its span. On success the raw ids ride the existing dispatch.
-    /// Candidates come from the page bucket; among multiple matches the
-    /// lowest slot index wins, replicating the original linear scan's
-    /// first-match choice exactly.
+    /// its span. On success the raw ids ride the existing dispatch;
+    /// among multiple covering entries the lowest slot wins.
     pub fn try_merge(&mut self, req: &CoalescedRequest) -> bool {
         self.comparisons += self.entries.len() as u64;
-        let Some(bucket) = self.by_page.get(&(req.addr / PAGE_BYTES)) else {
+        let Some(i) = self.covering_slot(req.addr, req.addr + req.bytes, req.op, req.raw_ids.len()) else {
             return false;
         };
-        let mut first: Option<usize> = None;
-        for &i in bucket {
-            let e = &self.entries[i];
-            if e.covers(req)
-                && e.subentries + req.raw_ids.len() <= self.max_subentries
-                && first.is_none_or(|f| i < f)
-            {
-                first = Some(i);
-            }
-        }
-        if let Some(i) = first {
-            let e = &mut self.entries[i];
-            e.subentries += req.raw_ids.len();
-            e.raw_ids.extend_from_slice(&req.raw_ids);
-            self.merged_raw += req.raw_ids.len() as u64;
-            self.generation = self.generation.wrapping_add(1);
-            return true;
-        }
-        false
+        self.merge_into(i, &req.raw_ids);
+        true
     }
 
     /// [`Self::try_merge`] specialised to a single-line, single-id
@@ -221,31 +207,10 @@ impl AdaptiveMshrFile {
     /// per-offer hot path of the MSHR-based baseline.
     pub fn try_merge_line(&mut self, line_addr: u64, op: Op, raw_id: u64) -> bool {
         self.comparisons += self.entries.len() as u64;
-        let Some(bucket) = self.by_page.get(&(line_addr / PAGE_BYTES)) else {
+        let Some(i) = self.covering_slot(line_addr, line_addr + CACHE_LINE_BYTES, op, 1) else {
             return false;
         };
-        let mut first: Option<usize> = None;
-        for &i in bucket {
-            let e = &self.entries[i];
-            if e.mergeable
-                && e.op == Op::Load
-                && op == Op::Load
-                && line_addr >= e.addr
-                && line_addr + CACHE_LINE_BYTES <= e.addr + e.bytes
-                && e.subentries < self.max_subentries
-                && first.is_none_or(|f| i < f)
-            {
-                first = Some(i);
-            }
-        }
-        let Some(i) = first else {
-            return false;
-        };
-        let e = &mut self.entries[i];
-        e.subentries += 1;
-        e.raw_ids.push(raw_id);
-        self.merged_raw += 1;
-        self.generation = self.generation.wrapping_add(1);
+        self.merge_into(i, &[raw_id]);
         true
     }
 
@@ -256,20 +221,7 @@ impl AdaptiveMshrFile {
     /// (rather than performing them) account the failed scans through
     /// [`Self::charge_failed_merges`].
     pub fn can_merge_line(&self, line_addr: u64, op: Op) -> bool {
-        if op != Op::Load {
-            return false;
-        }
-        let Some(bucket) = self.by_page.get(&(line_addr / PAGE_BYTES)) else {
-            return false;
-        };
-        bucket.iter().any(|&i| {
-            let e = &self.entries[i];
-            e.mergeable
-                && e.op == Op::Load
-                && line_addr >= e.addr
-                && line_addr + CACHE_LINE_BYTES <= e.addr + e.bytes
-                && e.subentries < self.max_subentries
-        })
+        self.covering_slot(line_addr, line_addr + CACHE_LINE_BYTES, op, 1).is_some()
     }
 
     /// Account `n` merge attempts that scanned the whole comparator bank
@@ -303,10 +255,7 @@ impl AdaptiveMshrFile {
             op: req.op,
             raw_count: req.raw_ids.len() as u32,
         };
-        let idx = self.entries.len();
-        self.by_dispatch.insert(dispatch_id, idx);
-        self.by_page.entry(req.addr / PAGE_BYTES).or_default().push(idx);
-        self.entries.push(MshrEntry {
+        let entry = MshrEntry {
             dispatch_id,
             addr: req.addr,
             bytes: req.bytes,
@@ -314,7 +263,9 @@ impl AdaptiveMshrFile {
             raw_ids: req.raw_ids,
             subentries: 0,
             mergeable,
-        });
+        };
+        self.spans.push(SlotSpan::of(&entry));
+        self.entries.push(entry);
         self.generation = self.generation.wrapping_add(1);
         dispatched
     }
@@ -327,7 +278,7 @@ impl AdaptiveMshrFile {
 
     /// Structural invariants, polled by the lockstep oracle: occupancy
     /// within capacity, subentry counts within the 2-bit field's budget,
-    /// and both lookup indexes consistent with the entry array.
+    /// and the span array in step with the entry array.
     pub fn integrity(&self) -> Result<(), String> {
         if self.entries.len() > self.capacity {
             return Err(format!(
@@ -336,14 +287,14 @@ impl AdaptiveMshrFile {
                 self.capacity
             ));
         }
-        if self.by_dispatch.len() != self.entries.len() {
+        if self.spans.len() != self.entries.len() {
             return Err(format!(
-                "dispatch index has {} records for {} entries",
-                self.by_dispatch.len(),
+                "span array has {} slots for {} entries",
+                self.spans.len(),
                 self.entries.len()
             ));
         }
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, (e, s)) in self.entries.iter().zip(&self.spans).enumerate() {
             if e.subentries > self.max_subentries {
                 return Err(format!(
                     "entry {i} ({:#x}) holds {} subentries, budget {}",
@@ -362,12 +313,8 @@ impl AdaptiveMshrFile {
             if e.addr / PAGE_BYTES != (e.addr + e.bytes - 1) / PAGE_BYTES {
                 return Err(format!("entry {i} ({:#x}+{}B) spans a page", e.addr, e.bytes));
             }
-            if self.by_dispatch.get(&e.dispatch_id) != Some(&i) {
-                return Err(format!("entry {i} dispatch id {} mis-indexed", e.dispatch_id));
-            }
-            let bucket = self.by_page.get(&(e.addr / PAGE_BYTES));
-            if !bucket.is_some_and(|b| b.contains(&i)) {
-                return Err(format!("entry {i} ({:#x}) missing from its page bucket", e.addr));
+            if s.dispatch_id != e.dispatch_id || s.addr != e.addr || s.end != e.addr + e.bytes {
+                return Err(format!("slot {i} span out of step with its entry ({:#x})", e.addr));
             }
         }
         Ok(())
@@ -376,24 +323,9 @@ impl AdaptiveMshrFile {
     /// Release the entry for `dispatch_id`, returning the raw request
     /// ids it satisfied. Returns `None` for unknown ids.
     pub fn complete(&mut self, dispatch_id: u64) -> Option<Vec<u64>> {
-        let idx = self.by_dispatch.remove(&dispatch_id)?;
+        let idx = self.spans.iter().position(|s| s.dispatch_id == dispatch_id)?;
+        self.spans.swap_remove(idx);
         let entry = self.entries.swap_remove(idx);
-        let bucket =
-            self.by_page.get_mut(&(entry.addr / PAGE_BYTES)).expect("entry is page-indexed");
-        Self::bucket_remove(bucket, idx);
-        if idx < self.entries.len() {
-            // The former last entry moved into slot `idx`; repoint both
-            // of its index records.
-            let moved_from = self.entries.len();
-            let moved = &self.entries[idx];
-            *self.by_dispatch.get_mut(&moved.dispatch_id).expect("entry is dispatch-indexed") =
-                idx;
-            let bucket =
-                self.by_page.get_mut(&(moved.addr / PAGE_BYTES)).expect("entry is page-indexed");
-            let pos =
-                bucket.iter().position(|&i| i == moved_from).expect("entry is page-indexed");
-            bucket[pos] = idx;
-        }
         self.generation = self.generation.wrapping_add(1);
         Some(entry.raw_ids)
     }

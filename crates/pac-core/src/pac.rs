@@ -24,9 +24,10 @@ use crate::stream::CoalescingStream;
 use crate::{CoalescerGauges, DispatchedRequest, MemoryCoalescer};
 use pac_trace::{EventKind, FlushCause, TraceHandle};
 use pac_types::addr::CACHE_LINE_BYTES;
-use pac_types::{CoalescedRequest, CoalescerConfig, Cycle, EventClass, MemRequest, RequestKind};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use pac_types::{
+    CoalescedRequest, CoalescerConfig, Cycle, EventClass, IdHash, MemRequest, RequestKind,
+};
+use std::collections::{HashMap, VecDeque};
 
 /// Dispatch-id namespace bit reserved for atomics (which do not occupy
 /// MSHR entries).
@@ -44,7 +45,7 @@ pub struct PacCoalescer {
     /// system has empty MAQ and free MSHRs.
     bypass_enabled: bool,
     /// Atomics in flight: dispatch id → raw id.
-    atomics: HashMap<u64, u64>,
+    atomics: HashMap<u64, u64, IdHash>,
     next_atomic: u64,
     /// Dispatches produced inside `push_raw`, drained by `tick`.
     pending: VecDeque<DispatchedRequest>,
@@ -56,6 +57,10 @@ pub struct PacCoalescer {
     /// head's merge/allocate outcome cannot change, so the scan is
     /// skipped (and the event-driven core treats the MAQ as inert).
     maq_stalled_gen: Option<u64>,
+    /// Admission epoch: bumped by every accepted `push_raw` and every
+    /// `tick`, `complete` and `flush`, the only calls that move what
+    /// `would_accept` reads.
+    epoch: u64,
     /// Reused across ticks for timeout-expired streams (no per-tick
     /// allocation).
     scratch_streams: Vec<CoalescingStream>,
@@ -65,11 +70,13 @@ pub struct PacCoalescer {
 
 // `scratch_streams` is drained within every `tick`, so it is provably
 // empty at any checkpoint boundary; the tracer is re-attached by the
-// simulator after restore.
+// simulator after restore. The epoch only stamps refusal memos, which
+// start empty after a restore.
 pac_types::snapshot_fields!(PacCoalescer {
     cfg, aggregator, network, maq, mshr, bypass_enabled, atomics,
     next_atomic, pending, input_waiting, maq_stalled_gen, stats,
 } skip {
+    epoch: 0,
     scratch_streams: Vec::new(),
     tracer: TraceHandle::disabled(),
 });
@@ -82,11 +89,12 @@ impl PacCoalescer {
             maq: Maq::new(cfg.maq_entries),
             mshr: AdaptiveMshrFile::new(cfg.mshrs, cfg.mshr_subentries),
             bypass_enabled: true,
-            atomics: HashMap::new(),
+            atomics: HashMap::default(),
             next_atomic: 0,
             pending: VecDeque::new(),
             input_waiting: 0,
             maq_stalled_gen: None,
+            epoch: 0,
             scratch_streams: Vec::new(),
             stats: CoalescerStats::default(),
             tracer: TraceHandle::disabled(),
@@ -194,6 +202,7 @@ impl MemoryCoalescer for PacCoalescer {
                 for s in streams {
                     self.flush_stream(s, now, FlushCause::Fence);
                 }
+                self.epoch += 1;
                 return true;
             }
             RequestKind::Atomic => {
@@ -218,6 +227,7 @@ impl MemoryCoalescer for PacCoalescer {
                     op: req.op,
                     raw_count: 1,
                 });
+                self.epoch += 1;
                 return true;
             }
             RequestKind::Miss | RequestKind::WriteBack => {}
@@ -233,6 +243,7 @@ impl MemoryCoalescer for PacCoalescer {
             self.stats.stall_cycles += 1;
             return false;
         }
+        self.epoch += 1;
         self.stats.raw_requests += 1;
 
         if self.bypass_enabled && self.input_waiting == 0 && self.quiescent() && self.mshr.has_free()
@@ -266,6 +277,7 @@ impl MemoryCoalescer for PacCoalescer {
     }
 
     fn tick(&mut self, now: Cycle, out: &mut Vec<DispatchedRequest>) {
+        self.epoch += 1;
         // Sample stage-1 occupancy every 16 cycles while the coalescer
         // is servicing requests (Fig 11b counts occupied streams during
         // execution, not across idle gaps).
@@ -362,6 +374,7 @@ impl MemoryCoalescer for PacCoalescer {
     }
 
     fn complete(&mut self, dispatch_id: u64, now: Cycle, satisfied: &mut Vec<u64>) {
+        self.epoch += 1;
         if dispatch_id & ATOMIC_ID_BIT != 0 {
             if let Some(raw) = self.atomics.remove(&dispatch_id) {
                 satisfied.push(raw);
@@ -391,6 +404,7 @@ impl MemoryCoalescer for PacCoalescer {
     }
 
     fn flush(&mut self, now: Cycle) {
+        self.epoch += 1;
         let streams = self.aggregator.take_all();
         for s in streams {
             self.flush_stream(s, now, FlushCause::Drain);
@@ -457,6 +471,10 @@ impl MemoryCoalescer for PacCoalescer {
                 !(self.backpressured() && full && !self.aggregator.has_stream_for(req))
             }
         }
+    }
+
+    fn admission_epoch(&self) -> u64 {
+        self.epoch
     }
 
     fn note_refused_retries(&mut self, _req: &MemRequest, _now: Cycle, n: u64) {

@@ -23,11 +23,11 @@ use hmc_sim::{EnergyBreakdown, EnergyClass, HmcRequest, HmcResponse, HmcStats};
 use pac_trace::{DumpTrigger, EventKind, TraceHandle};
 use pac_types::protocol::FLIT_BYTES;
 use pac_types::{
-    Cycle, EventClass, FaultClass, FaultPlan, FaultPlanError, HbmDeviceConfig, Op, RasClass,
-    RasPlan, RasPlanError, RasStats,
+    Cycle, EventClass, FaultClass, FaultPlan, FaultPlanError, HbmDeviceConfig, IdHash, Op,
+    RasClass, RasPlan, RasPlanError, RasStats,
 };
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// A finished response ordered by delivery cycle:
 /// `(complete, id, addr, bytes, is_store, submit_cycle)`.
@@ -104,7 +104,7 @@ pub struct Hbm {
     /// sequence for determinism).
     pending_rsp: BinaryHeap<Reverse<(Cycle, u64)>>,
     pending_seq: u64,
-    pending_store: std::collections::HashMap<u64, ReadyResponse>,
+    pending_store: HashMap<u64, ReadyResponse, IdHash>,
     inflight: usize,
     /// Bitset of channels with a non-empty queue.
     active: Vec<u64>,
@@ -165,7 +165,7 @@ impl Hbm {
             completed: BinaryHeap::new(),
             pending_rsp: BinaryHeap::new(),
             pending_seq: 0,
-            pending_store: std::collections::HashMap::new(),
+            pending_store: HashMap::default(),
             inflight: 0,
             active: vec![0; (cfg.channels as usize).div_ceil(64)],
             chan_next: vec![u64::MAX; cfg.channels as usize],
@@ -517,6 +517,17 @@ impl Hbm {
         (best != u64::MAX).then_some(best)
     }
 
+    /// Earliest cycle ≥ `now` at which [`Hbm::pop_responses`] returns a
+    /// response, or `None` when none is on its way back; [`Hbm::next_event`]
+    /// while a fault plan is armed or the return path takes zero cycles
+    /// (the same contract as `hmc_sim::Hmc::next_visible`).
+    pub fn next_visible(&self, now: Cycle) -> Option<Cycle> {
+        if self.fault_plan.is_some() || self.cfg.ctrl_cycles + self.cfg.bus_cycles_per_flit == 0 {
+            return self.next_event(now);
+        }
+        self.completed.peek().map(|&Reverse((complete, ..))| complete.max(now))
+    }
+
     /// Drain every response whose return completed by `now`.
     pub fn pop_responses(&mut self, now: Cycle, out: &mut Vec<HmcResponse>) {
         while let Some(Reverse((complete, ..))) = self.completed.peek() {
@@ -582,6 +593,9 @@ impl crate::MemoryBackend for Hbm {
     }
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Hbm::next_event(self, now)
+    }
+    fn next_visible(&self, now: Cycle) -> Option<Cycle> {
+        Hbm::next_visible(self, now)
     }
     fn is_idle(&self) -> bool {
         Hbm::is_idle(self)

@@ -73,9 +73,51 @@ pub trait MemoryBackend: std::fmt::Debug {
     /// Drain every response whose return completed by `now`.
     fn pop_responses(&mut self, now: Cycle, out: &mut Vec<HmcResponse>);
 
-    /// Earliest cycle ≥ `now` at which progress is possible, or `None`
-    /// when idle (conservative: early wakes are no-ops).
+    /// Earliest cycle ≥ `now` at which [`tick`](Self::tick) or
+    /// [`pop_responses`](Self::pop_responses) could make progress —
+    /// a unit issue, a data-ready hand-off to the return path, or a
+    /// response to pop — or `None` when idle. Conservative: early
+    /// wakes are no-ops, so ticking the device at exactly these cycles
+    /// is equivalent to ticking it every cycle.
     fn next_event(&self, now: Cycle) -> Option<Cycle>;
+
+    /// Earliest cycle ≥ `now` at which something outside the device can
+    /// see a change: a response becomes poppable, or — while a fault
+    /// plan is armed — any device event (a dropped response changes
+    /// [`inflight`](Self::inflight) at its data-ready cycle). Every
+    /// [`next_event`](Self::next_event) strictly before this cycle
+    /// stays inside the device, and a response scheduled by ticking one
+    /// completes strictly after it, so the skip step may tick the
+    /// device alone through those events (re-asking after each tick)
+    /// without running a system tick. Must never be later than the
+    /// first cycle `pop_responses` returns something or `inflight`
+    /// changes. The default, [`next_event`](Self::next_event), is
+    /// always sound and forfeits the fast-forward.
+    fn next_visible(&self, now: Cycle) -> Option<Cycle> {
+        self.next_event(now)
+    }
+
+    /// The skip step's device fast-forward: tick the device alone at
+    /// each of its events from `now` on that lies before `bound` and
+    /// before [`next_visible`](Self::next_visible), and return the first
+    /// event left unticked (`None` once the device has none). Ticking
+    /// only at event cycles matches ticking every cycle, and no tick
+    /// here can be seen from outside, so a caller whose other
+    /// components have nothing due before `bound` may land its next
+    /// full tick at the returned cycle (or `bound`, if earlier). With
+    /// `bound > now`, a return of `now` means a visible event is due at
+    /// `now`, and nothing was ticked.
+    fn fast_forward(&mut self, now: Cycle, bound: Cycle) -> Option<Cycle> {
+        let mut t = now;
+        loop {
+            let e = self.next_event(t)?;
+            if e >= bound || self.next_visible(t).is_some_and(|v| v <= e) {
+                return Some(e);
+            }
+            self.tick(e);
+            t = e + 1;
+        }
+    }
 
     /// True when nothing is queued or in flight.
     fn is_idle(&self) -> bool;
@@ -160,6 +202,9 @@ impl MemoryBackend for Hmc {
     }
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Hmc::next_event(self, now)
+    }
+    fn next_visible(&self, now: Cycle) -> Option<Cycle> {
+        Hmc::next_visible(self, now)
     }
     fn is_idle(&self) -> bool {
         Hmc::is_idle(self)

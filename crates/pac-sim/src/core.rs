@@ -48,6 +48,10 @@ pub struct CoreState {
     max_outstanding: usize,
     /// A raw request refused by the coalescer, to retry.
     pub retry: Option<PendingPush>,
+    /// The coalescer's admission epoch when `retry` was last refused
+    /// (the refusal memo). A cache, left out of checkpoints: it starts
+    /// empty after a restore, so the first retry is a real offer.
+    pub(crate) refused_at: Option<u64>,
     /// Position within the current access burst.
     burst_pos: u64,
     pub stats: CoreStats,
@@ -73,6 +77,7 @@ impl CoreState {
             outstanding: 0,
             max_outstanding,
             retry: None,
+            refused_at: None,
             burst_pos: 0,
             stats: CoreStats::default(),
         }
@@ -129,9 +134,11 @@ impl CoreState {
         self.ready_at = now + latency.max(1) + pause;
     }
 
-    /// Record a refused push: the prepared request retries next cycle.
-    pub fn refuse(&mut self, now: Cycle, pending: PendingPush) {
+    /// Record a push refused at admission epoch `epoch`: the prepared
+    /// request retries next cycle.
+    pub fn refuse(&mut self, now: Cycle, pending: PendingPush, epoch: u64) {
         self.retry = Some(pending);
+        self.refused_at = Some(epoch);
         self.ready_at = now + 1;
     }
 }
@@ -216,6 +223,7 @@ impl CoreState {
             outstanding,
             max_outstanding,
             retry,
+            refused_at: None,
             burst_pos,
             stats,
         })
@@ -281,7 +289,7 @@ mod tests {
             req: MemRequest::miss(1, 0x40, pac_types::Op::Load, 0, 0),
             is_fill: true,
         };
-        c.refuse(0, pending);
+        c.refuse(0, pending, 0);
         assert!(!c.finished());
         assert!(!c.can_issue(0), "blocked in the refusal cycle");
         assert!(c.can_issue(1));

@@ -17,25 +17,30 @@
 //! must hold on each backend, and the completed sets must be identical
 //! even though every cycle number differs.
 //!
-//! Replay advances the clock like [`crate::SimSystem`]. Under
-//! [`Stepping::SkipAhead`], the default, it jumps from each settled
-//! cycle to the earliest of three events: the trace head's due cycle,
-//! the coalescer's `next_event` and the backend's `next_event`. A due
-//! head that `would_accept` refuses opens a blocked window. The
-//! every-cycle loop would re-offer that head once per cycle until the
-//! next coalescer or backend event, be refused each time, and stretch
-//! the schedule by one cycle each time. The jump charges those refusals
-//! in bulk with `note_refused_retries` and adds the window to the skew.
-//! Neither the due window nor the backlog hint can change inside a
-//! blocked window: `now` and the skew advance together, and only an
-//! accepted push reads the hint. `PAC_STEPPING=every` selects the
-//! every-cycle reference ([`Stepping::from_env`]), which produces
-//! identical [`RunMetrics`].
+//! Replay advances the clock like [`crate::SimSystem`], with the same
+//! two rules. Under [`Stepping::SkipAhead`], the default, it jumps from
+//! each settled cycle to the earliest of three events: the trace head's
+//! due cycle, the coalescer's `next_event`, and the first backend event
+//! that [`pac_mem::MemoryBackend::fast_forward`] leaves unticked — the
+//! backend is ticked alone through its issues and data-ready hand-offs
+//! until a response becomes poppable. A due head that `would_accept`
+//! refuses opens a blocked window. The every-cycle loop would re-offer
+//! that head once per cycle until the next coalescer or backend event,
+//! be refused each time, and stretch the schedule by one cycle each
+//! time. The jump charges those refusals in bulk with
+//! `note_refused_retries` and adds the window to the skew. Neither the
+//! due window nor the backlog hint can change inside a blocked window:
+//! `now` and the skew advance together, and only an accepted push reads
+//! the hint. The refusal is remembered with the coalescer's admission
+//! epoch, so while the epoch stands the head is charged instead of
+//! offered again. `PAC_STEPPING=every` selects the every-cycle
+//! reference ([`Stepping::from_env`]), which offers literally and
+//! produces identical [`RunMetrics`].
 
 use crate::metrics::RunMetrics;
 use crate::system::{CoalescerKind, Stepping, TraceEntry};
 use hmc_sim::{HmcRequest, HmcResponse};
-use pac_core::DispatchedRequest;
+use pac_core::{DispatchedRequest, MemoryCoalescer};
 use pac_types::{Cycle, MemRequest, SimConfig};
 
 /// Replay `trace` through the chosen coalescer and the configured
@@ -80,6 +85,12 @@ fn offer(t: &TraceEntry, id: u64, now: Cycle) -> MemRequest {
     req
 }
 
+/// Whether the head offered under raw id `id` stands refused at the
+/// coalescer's current admission epoch (the refusal memo `memo`).
+fn still_refused(coalescer: &dyn MemoryCoalescer, memo: Option<(u64, u64)>, id: u64) -> bool {
+    memo == Some((id, coalescer.admission_epoch()))
+}
+
 fn replay_core(
     trace: &[TraceEntry],
     kind: CoalescerKind,
@@ -107,6 +118,10 @@ fn replay_core(
     let mut responses: Vec<HmcResponse> = Vec::new();
     let mut satisfied: Vec<u64> = Vec::new();
     let mut inflight: u64 = 0;
+    // Refusal memo for the trace head: the raw id it is offered under
+    // (ids advance only on admission) and the admission epoch it was
+    // refused at.
+    let mut head_refused: Option<(u64, u64)> = None;
     let limit = (trace.last().map(|t| t.cycle).unwrap_or(0) + 1)
         .saturating_mul(200)
         .max(10_000_000);
@@ -116,7 +131,7 @@ fn replay_core(
             // Between iterations every component is settled (ticked, and
             // flushed once the trace is exhausted): jump to the earliest
             // cycle on which the every-cycle loop would do more than tick
-            // idle components and re-offer a refused head. Landing no
+            // the device alone and re-offer a refused head. Landing no
             // later than `limit - 1` trips the convergence assert below
             // at the cycle the every-cycle loop trips it.
             let mut wake = limit - 1;
@@ -127,15 +142,23 @@ fn replay_core(
                     wake = wake.min(due);
                 } else {
                     let req = offer(t, next_id, now);
-                    if coalescer.would_accept(&req) {
-                        wake = now;
-                    } else {
+                    if still_refused(&*coalescer, head_refused, next_id)
+                        || !coalescer.would_accept(&req)
+                    {
+                        head_refused = Some((next_id, coalescer.admission_epoch()));
                         blocked = Some(req);
+                    } else {
+                        wake = now;
                     }
                 }
             }
-            for c in [coalescer.next_event(now), mem.next_event(now)].into_iter().flatten() {
+            if let Some(c) = coalescer.next_event(now) {
                 wake = wake.min(c);
+            }
+            if wake > now {
+                if let Some(c) = mem.fast_forward(now, wake) {
+                    wake = wake.min(c);
+                }
             }
             if wake > now {
                 if let Some(req) = blocked {
@@ -158,15 +181,29 @@ fn replay_core(
         }
         coalescer.hint_pending(due_end.saturating_sub(i + 1));
         while i < trace.len() && trace[i].cycle + skew <= now {
-            let t = trace[i];
-            if coalescer.push_raw(offer(&t, next_id, now), now) {
+            let req = offer(&trace[i], next_id, now);
+            // Refused at this epoch already: charge the offer. The
+            // every-cycle reference offers literally.
+            let memo_hit = stepping == Stepping::SkipAhead
+                && still_refused(&*coalescer, head_refused, next_id);
+            if memo_hit {
+                debug_assert!(
+                    !coalescer.would_accept(&req),
+                    "refusal memo hit on an acceptable head"
+                );
+                coalescer.note_refused_retries(&req, now, 1);
+                skew += 1;
+                break;
+            }
+            if coalescer.push_raw(req, now) {
                 next_id += 1;
-                if t.kind != pac_types::RequestKind::Fence {
+                if req.kind != pac_types::RequestKind::Fence {
                     inflight += 1;
                 }
                 i += 1;
             } else {
                 // Backpressure: shift the remaining schedule.
+                head_refused = Some((next_id, coalescer.admission_epoch()));
                 skew += 1;
                 break;
             }

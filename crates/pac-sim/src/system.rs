@@ -27,12 +27,14 @@ pub use pac_types::{IdHash, IdHasher};
 ///
 /// Skip-ahead is the production mode: after each tick the loop asks
 /// every component for its earliest upcoming event cycle and jumps the
-/// clock straight there. Component events are conservative lower
-/// bounds — an early (no-op) tick is harmless because every component
-/// keeps absolute-cycle bookkeeping, while a missed cycle would lose a
-/// per-cycle side effect — so skip-ahead produces metrics bit-identical
-/// to the cycle-by-cycle reference (regression-tested in
-/// `tests/skip_ahead_equivalence.rs` and `tests/proptests.rs`).
+/// clock to the first one something outside the memory device can see,
+/// ticking the device alone through its earlier events. Component
+/// events are conservative lower bounds — an early (no-op) tick is
+/// harmless because every component keeps absolute-cycle bookkeeping,
+/// while a missed cycle would lose a per-cycle side effect — so
+/// skip-ahead produces metrics bit-identical to the cycle-by-cycle
+/// reference (regression-tested in `tests/skip_ahead_equivalence.rs`
+/// and `tests/proptests.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Stepping {
     /// Tick every cycle: the reference mode skip-ahead is tested against.
@@ -274,6 +276,10 @@ pub struct SimSystem {
     /// Write-backs and prefetches awaiting coalescer admission (the WB
     /// queue plus the prefetch request queue).
     side_queue: VecDeque<SideEntry>,
+    /// Refusal memo for the side-queue head: its raw id and the
+    /// admission epoch it was refused at. A cache, left out of
+    /// checkpoints (see `CoreState::refused_at`).
+    side_refused: Option<(u64, u64)>,
     /// Per-core stride detectors.
     strides: Vec<StrideState>,
     /// Prefetches in flight or queued.
@@ -374,6 +380,7 @@ impl SimSystem {
             next_raw: 0,
             raw_meta: HashMap::default(),
             side_queue: VecDeque::new(),
+            side_refused: None,
             prefetch_outstanding: 0,
             prefetches_issued: 0,
             mmu: None,
@@ -495,8 +502,29 @@ impl SimSystem {
         id
     }
 
-    /// Try to push a prepared raw request; returns false on backpressure.
-    fn offer(&mut self, pending: PendingPush, owner: Owner) -> bool {
+    /// Try to push a prepared raw request that was last refused at
+    /// admission epoch `refused_at`. On backpressure, `Err` carries the
+    /// epoch it now stands refused at. A memo hit — the epoch has not
+    /// moved since the refusal, so neither has anything `would_accept`
+    /// reads — is not offered again: it is charged as one refused
+    /// retry, which leaves the coalescer exactly as the literal refused
+    /// offer would have. The every-cycle reference never trusts the
+    /// memo and keeps offering literally.
+    fn offer(
+        &mut self,
+        pending: PendingPush,
+        owner: Owner,
+        refused_at: Option<u64>,
+    ) -> Result<(), u64> {
+        let epoch = self.coalescer.admission_epoch();
+        if self.stepping == Stepping::SkipAhead && refused_at == Some(epoch) {
+            debug_assert!(
+                !self.coalescer.would_accept(&pending.req),
+                "refusal memo hit on an acceptable request"
+            );
+            self.coalescer.note_refused_retries(&pending.req, self.now, 1);
+            return Err(epoch);
+        }
         // The oracle sees every admission attempt: the prediction is
         // sampled before the push so `would_accept`/`push_raw`
         // disagreement is caught at its source.
@@ -507,7 +535,7 @@ impl SimSystem {
             o.note_push(&pending.req, predicted, accepted, self.now);
         }
         if !accepted {
-            return false;
+            return Err(self.coalescer.admission_epoch());
         }
         self.raw_meta.insert(
             pending.req.id,
@@ -531,7 +559,20 @@ impl SimSystem {
                 });
             }
         }
-        true
+        Ok(())
+    }
+
+    /// Offer core `c`'s request and account the outcome on the core: an
+    /// accepted request joins its outstanding window, a refused one
+    /// waits as its retry.
+    fn admit_core(&mut self, c: usize, pending: PendingPush, refused_at: Option<u64>) {
+        match self.offer(pending, Owner::Core(c as u8), refused_at) {
+            Ok(()) => {
+                self.cores[c].outstanding += 1;
+                self.cores[c].charge(self.now, 1);
+            }
+            Err(epoch) => self.cores[c].refuse(self.now, pending, epoch),
+        }
     }
 
     fn enqueue_writeback(&mut self, line: u64) {
@@ -549,10 +590,16 @@ impl SimSystem {
         while let Some(&entry) = self.side_queue.front() {
             match entry {
                 SideEntry::Ready(req, owner, is_fill) => {
-                    if self.offer(PendingPush { req, is_fill }, owner) {
-                        self.side_queue.pop_front();
-                    } else {
-                        break;
+                    let refused_at =
+                        self.side_refused.and_then(|(id, epoch)| (id == req.id).then_some(epoch));
+                    match self.offer(PendingPush { req, is_fill }, owner, refused_at) {
+                        Ok(()) => {
+                            self.side_queue.pop_front();
+                        }
+                        Err(epoch) => {
+                            self.side_refused = Some((req.id, epoch));
+                            break;
+                        }
                     }
                 }
                 SideEntry::PfCandidate { addr, core } => {
@@ -681,12 +728,8 @@ impl SimSystem {
     fn issue_core_access(&mut self, c: usize) {
         // Replay a refused push first.
         if let Some(pending) = self.cores[c].retry.take() {
-            if self.offer(pending, Owner::Core(c as u8)) {
-                self.cores[c].outstanding += 1;
-                self.cores[c].charge(self.now, 1);
-            } else {
-                self.cores[c].refuse(self.now, pending);
-            }
+            let refused_at = self.cores[c].refused_at;
+            self.admit_core(c, pending, refused_at);
             return;
         }
 
@@ -744,13 +787,7 @@ impl SimSystem {
                     MemRequest::miss(id, access.addr, access.op, c as u8, self.now);
                 req.kind = RequestKind::Atomic;
                 req.data_bytes = access.data_bytes;
-                let pending = PendingPush { req, is_fill: false };
-                if self.offer(pending, Owner::Core(c as u8)) {
-                    self.cores[c].outstanding += 1;
-                    self.cores[c].charge(self.now, 1);
-                } else {
-                    self.cores[c].refuse(self.now, pending);
-                }
+                self.admit_core(c, PendingPush { req, is_fill: false }, None);
             }
             RequestKind::Miss | RequestKind::WriteBack => {
                 let is_write = access.op == Op::Store;
@@ -803,13 +840,7 @@ impl SimSystem {
                         let mut req = MemRequest::miss(id, access.addr, Op::Load, c as u8, self.now);
                         req.data_bytes = access.data_bytes;
                         let _ = dup;
-                        let pending = PendingPush { req, is_fill: true };
-                        if self.offer(pending, Owner::Core(c as u8)) {
-                            self.cores[c].outstanding += 1;
-                            self.cores[c].charge(self.now, 1);
-                        } else {
-                            self.cores[c].refuse(self.now, pending);
-                        }
+                        self.admit_core(c, PendingPush { req, is_fill: true }, None);
                         self.maybe_prefetch(c, line);
                     }
                 }
@@ -1083,9 +1114,10 @@ impl SimSystem {
     }
 
     /// Jump the clock from `self.now` to the earliest cycle at which
-    /// anything *new* can happen, bulk-accounting the cycles in between.
+    /// anything outside the memory device can change, bulk-accounting
+    /// the cycles in between.
     ///
-    /// Two kinds of cycle are jumpable. Genuinely idle cycles (no
+    /// Three kinds of cycle are jumpable. Genuinely idle cycles (no
     /// component has an event) are free. Blocked-retry cycles — where
     /// the only activity is the side-queue head and/or core retries
     /// being offered and refused again — are skippable because refusal
@@ -1095,26 +1127,33 @@ impl SimSystem {
     /// the stall/comparator counters. Those per-cycle counter bumps are
     /// applied in bulk via [`MemoryCoalescer::note_refused_retries`], so
     /// metrics stay bit-identical to [`Stepping::EveryCycle`].
+    /// Device-only cycles — a vault or channel issue, a data-ready
+    /// hand-off to the return path — change nothing the rest of the
+    /// system reads until a response becomes poppable, so the device is
+    /// ticked alone through them ([`MemoryBackend::fast_forward`]).
     ///
     /// Called between ticks, when component state is settled — the
     /// refusal predictions use [`MemoryCoalescer::would_accept`] against
     /// the final state of the tick just executed, never a stale
-    /// observation from inside it. Component events are conservative
-    /// lower bounds: an early landing tick is a harmless no-op, while
-    /// anything that would *accept* an offer or change state pins the
-    /// clock to the present.
+    /// observation from inside it. A refusal is recorded in the refusal
+    /// memo at the coalescer's admission epoch, and a request already
+    /// refused at the current epoch counts as blocked without asking
+    /// again. Component events are conservative lower bounds: an early
+    /// landing tick is a harmless no-op, while anything that would
+    /// *accept* an offer or change state pins the clock to the present.
     ///
     /// `clamp` caps the landing cycle (the caller's pause/limit
-    /// boundary). Skip-ahead and every-cycle stepping wake at different
-    /// cycles, so an uncapped jump would overshoot the boundary by a
-    /// mode-dependent amount and pause at a mode-dependent `now`.
-    /// Landing exactly on the boundary keeps mid-run checkpoints
-    /// byte-identical across both; the split bulk accounting
-    /// ([now, clamp) here, the landing tick's own refusals, the rest
-    /// after resuming) sums to the unclamped totals.
+    /// boundary): a jump never passes it, and at the boundary there is
+    /// no jump, so [`Self::advance`] pauses exactly on `stop_at` under
+    /// either stepping. The split bulk accounting ([now, clamp) here,
+    /// the rest after resuming) sums to the unclamped totals.
     fn skip_to_next_event(&mut self, clamp: Cycle) {
         let now = self.now;
         self.core_mask = None;
+        if now >= clamp {
+            return;
+        }
+        let epoch = self.coalescer.admission_epoch();
         // Offers the coming cycles would repeat: the side-queue head
         // plus every core's pending retry. Any source whose offer would
         // be accepted — or a prefetch candidate, which always makes
@@ -1122,11 +1161,14 @@ impl SimSystem {
         self.blocked_scratch.clear();
         match self.side_queue.front() {
             None => {}
-            Some(SideEntry::Ready(req, _, _)) => {
-                if self.coalescer.would_accept(req) {
-                    return;
+            Some(&SideEntry::Ready(req, _, _)) => {
+                if self.side_refused != Some((req.id, epoch)) {
+                    if self.coalescer.would_accept(&req) {
+                        return;
+                    }
+                    self.side_refused = Some((req.id, epoch));
                 }
-                self.blocked_scratch.push(*req);
+                self.blocked_scratch.push(req);
             }
             Some(SideEntry::PfCandidate { .. }) => return,
         }
@@ -1138,7 +1180,8 @@ impl SimSystem {
         let mut best_core = u64::MAX;
         let mut best_core_mask = 0u64;
         let wide = self.cores.len() > 64;
-        for (i, core) in self.cores.iter().enumerate() {
+        for i in 0..self.cores.len() {
+            let core = &self.cores[i];
             match core.next_issue_cycle(now) {
                 None => {}
                 Some(c) if c > now => {
@@ -1150,23 +1193,21 @@ impl SimSystem {
                         best_core_mask |= 1 << (i & 63);
                     }
                 }
-                Some(_) => match &core.retry {
-                    Some(p) if !self.coalescer.would_accept(&p.req) => {
-                        self.blocked_scratch.push(p.req);
-                        blocked_mask |= 1 << (i & 63);
+                Some(_) => {
+                    // A fresh access is real work this cycle.
+                    let Some(p) = core.retry else { return };
+                    if core.refused_at != Some(epoch) {
+                        if self.coalescer.would_accept(&p.req) {
+                            return;
+                        }
+                        self.cores[i].refused_at = Some(epoch);
                     }
-                    // A fresh access, or a retry that now fits.
-                    _ => return,
-                },
+                    self.blocked_scratch.push(p.req);
+                    blocked_mask |= 1 << (i & 63);
+                }
             }
         }
         if let Some(c) = self.coalescer.next_event(now) {
-            if c <= now {
-                return;
-            }
-            best = best.min(c);
-        }
-        if let Some(c) = self.mem.next_event(now) {
             if c <= now {
                 return;
             }
@@ -1181,15 +1222,22 @@ impl SimSystem {
             }
             best = best.min(c);
         }
+        // Everything but the device is settled until `best`: tick the
+        // device alone up to its first event visible outside it (a
+        // response to pop), never at or past `best` or `clamp`.
+        if let Some(c) = self.mem.fast_forward(now, best.min(clamp)) {
+            if c <= now {
+                return;
+            }
+            best = best.min(c);
+        }
         if best == u64::MAX {
             // Quiescent with the clock pinned: if work remains in
             // flight the run loop's convergence assert trips rather
             // than spinning silently.
             return;
         }
-        // An early landing tick is a harmless no-op, so capping the
-        // jump at the caller's boundary is always sound.
-        let best = best.min(clamp.max(now + 1));
+        let best = best.min(clamp);
         // Cycles [now, best) would each re-offer every blocked request
         // exactly once and be refused; account those offers and jump.
         let n = best - now;
@@ -1426,6 +1474,7 @@ impl SimSystem {
             next_raw,
             raw_meta,
             side_queue,
+            side_refused: None,
             strides,
             prefetch_outstanding,
             prefetches_issued,

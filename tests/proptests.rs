@@ -4,9 +4,12 @@
 use pac_repro::coalescer::baseline::{MshrDmc, NoCoalescing};
 use pac_repro::coalescer::table::{runs_of, CoalescingTable};
 use pac_repro::coalescer::{MemoryCoalescer, PacCoalescer};
-use pac_repro::hmc::{Hmc, HmcRequest};
+use pac_repro::hmc::{EnergyBreakdown, Hmc, HmcRequest, HmcResponse, HmcStats};
 use pac_repro::types::addr::block_addr;
-use pac_repro::types::{CoalescerConfig, HmcDeviceConfig, MemRequest, Op};
+use pac_repro::types::{
+    BackendKind, CoalescerConfig, Cycle, FaultClass, FaultPlan, HmcDeviceConfig, MemRequest, Op,
+    RequestKind, SimConfig,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -68,7 +71,173 @@ fn drive(
     (all_dispatches, satisfied)
 }
 
+/// Drive one backend through `sched` (submit cycle, request), ticking
+/// it every cycle or only where the skip step would: at submits, and at
+/// the first event `fast_forward` leaves unticked. Returns every
+/// response with the cycle it was popped at, the stats and the energy.
+/// With a drop-response plan armed, also checks that every device
+/// event counts as visible.
+fn drive_device(
+    sim: &SimConfig,
+    sched: &[(Cycle, HmcRequest)],
+    drop_seed: Option<u64>,
+    fast: bool,
+) -> (Vec<(Cycle, HmcResponse)>, HmcStats, EnergyBreakdown) {
+    let mut dev = pac_repro::mem::build_backend(sim);
+    if let Some(seed) = drop_seed {
+        let plan = FaultPlan {
+            rate_per_1024: 256,
+            max_faults: u64::MAX,
+            ..FaultPlan::new(FaultClass::DropResponse, seed)
+        };
+        dev.set_fault_plan(plan).expect("valid fault plan");
+    }
+    let (mut out, mut rsps) = (Vec::new(), Vec::new());
+    let (mut now, mut next) = (0, 0);
+    loop {
+        while next < sched.len() && sched[next].0 == now {
+            dev.submit(sched[next].1, now);
+            next += 1;
+        }
+        dev.tick(now);
+        dev.pop_responses(now, &mut rsps);
+        out.extend(rsps.drain(..).map(|r| (now, r)));
+        if next == sched.len() && dev.is_idle() {
+            break;
+        }
+        if drop_seed.is_some() {
+            assert_eq!(dev.next_visible(now + 1), dev.next_event(now + 1));
+        }
+        let bound = sched.get(next).map_or(Cycle::MAX, |s| s.0);
+        now = if fast {
+            dev.fast_forward(now + 1, bound).map_or(bound, |c| c.min(bound))
+        } else {
+            now + 1
+        };
+        assert!(now < 10_000_000, "device failed to drain");
+    }
+    dev.finalize_stats();
+    (out, dev.stats().clone(), dev.energy().clone())
+}
+
+/// A coalescer under test for the admission-epoch property.
+fn epoch_coalescer(kind: u8) -> Box<dyn MemoryCoalescer> {
+    // Tiny structures so random traffic crosses into refusal often.
+    match kind {
+        0 => Box::new(NoCoalescing::new(3)),
+        1 => Box::new(MshrDmc::new(3, 2)),
+        _ => Box::new(PacCoalescer::new(CoalescerConfig {
+            streams: 2,
+            maq_entries: 1,
+            mshrs: 2,
+            ..CoalescerConfig::default()
+        })),
+    }
+}
+
 proptest! {
+    /// The device fast-forward is exact: on either backend, ticking the
+    /// device only at the cycles the skip step uses gives the same
+    /// responses at the same cycles, and the same stats and energy, as
+    /// ticking it every cycle — with or without a drop-response plan
+    /// armed (under which `next_visible` must equal `next_event`).
+    #[test]
+    fn device_fast_forward_matches_every_cycle(
+        reqs in prop::collection::vec((0u64..40, 0u64..2048, 0u64..16, 1u64..5, any::<bool>()), 1..120),
+        hbm in any::<bool>(),
+        drop in 0u64..4,
+    ) {
+        let sim = SimConfig::for_backend(if hbm { BackendKind::Hbm } else { BackendKind::Hmc });
+        let row = sim.active_row_bytes();
+        let mut cycle = 0;
+        let sched: Vec<(Cycle, HmcRequest)> = reqs
+            .iter()
+            .enumerate()
+            .map(|(i, &(gap, r, line, lines, store))| {
+                cycle += gap;
+                let addr = r * row + (line * 64) % row;
+                let bytes = (lines * 64).min(row - addr % row);
+                let op = if store { Op::Store } else { Op::Load };
+                (cycle, HmcRequest { id: i as u64, addr, bytes, op })
+            })
+            .collect();
+        // One case in four arms a drop-response plan.
+        let drop_seed = (drop == 0).then_some(cycle ^ 0xD20F);
+        let every = drive_device(&sim, &sched, drop_seed, false);
+        let fast = drive_device(&sim, &sched, drop_seed, true);
+        prop_assert_eq!(&every.0, &fast.0, "responses or their cycles diverged (hbm: {})", hbm);
+        prop_assert_eq!(&every.1, &fast.1, "device stats diverged (hbm: {})", hbm);
+        prop_assert_eq!(&every.2, &fast.2, "device energy diverged (hbm: {})", hbm);
+    }
+
+    /// The admission epoch pins refusals: for each coalescer, while the
+    /// epoch equals the epoch at which `would_accept` refused a
+    /// request, it keeps refusing that request, across random pushes,
+    /// ticks, completions, flushes, hints and charged retries.
+    #[test]
+    fn admission_epoch_pins_refusals(
+        ops in prop::collection::vec((0u8..8, 0u64..6, 0u8..64, 0u8..8), 1..300),
+        kind in 0u8..3,
+    ) {
+        let mut c = epoch_coalescer(kind);
+        let (mut now, mut next_id) = (0, 0);
+        let mut inflight: Vec<u64> = Vec::new();
+        let mut dispatched = Vec::new();
+        let mut satisfied = Vec::new();
+        // Requests refused so far, with the epoch each was refused at.
+        let mut refused: Vec<(MemRequest, u64)> = Vec::new();
+        for &(op, page, block, class) in &ops {
+            match op {
+                0..=3 => {
+                    let mut req = MemRequest::miss(next_id, block_addr(page + 0x100, block), Op::Load, 0, now);
+                    next_id += 1;
+                    req.kind = match class {
+                        0 => RequestKind::Fence,
+                        1 => RequestKind::Atomic,
+                        2 => RequestKind::WriteBack,
+                        _ => RequestKind::Miss,
+                    };
+                    if class % 3 == 2 {
+                        req.op = Op::Store;
+                    }
+                    let epoch = c.admission_epoch();
+                    let predicted = c.would_accept(&req);
+                    let accepted = c.push_raw(req, now);
+                    prop_assert_eq!(predicted, accepted, "would_accept out of sync with push_raw");
+                    if !accepted {
+                        prop_assert_eq!(c.admission_epoch(), epoch, "a refused push moved the epoch");
+                        refused.push((req, epoch));
+                    }
+                }
+                4 => {
+                    c.tick(now, &mut dispatched);
+                    inflight.extend(dispatched.drain(..).map(|d| d.dispatch_id));
+                    now += 1 + u64::from(class);
+                }
+                5 if !inflight.is_empty() => {
+                    let id = inflight.remove(usize::from(block) % inflight.len());
+                    c.complete(id, now, &mut satisfied);
+                }
+                6 => c.hint_pending(usize::from(class)),
+                7 if class == 0 => c.flush(now),
+                _ => {
+                    if let Some(&(req, epoch)) = refused.last() {
+                        if c.admission_epoch() == epoch {
+                            c.note_refused_retries(&req, now, u64::from(class) + 1);
+                            prop_assert_eq!(c.admission_epoch(), epoch, "charged retries moved the epoch");
+                        }
+                    }
+                }
+            }
+            let epoch = c.admission_epoch();
+            for (req, at) in &refused {
+                if epoch == *at {
+                    prop_assert!(!c.would_accept(req), "raw {} accepted at the epoch it was refused at", req.id);
+                }
+            }
+        }
+    }
+
     /// Every raw request is satisfied exactly once, regardless of the
     /// request mix — the fundamental correctness property of a
     /// coalescer.

@@ -12,7 +12,7 @@
 //! here too, on captured and hand-built traces.
 
 use pac_repro::sim::{replay_with, run_bench, CoalescerKind, ExperimentConfig, RunMetrics};
-use pac_repro::sim::{SimSystem, Stepping, TraceEntry};
+use pac_repro::sim::{RunProgress, SimSystem, Stepping, TraceEntry};
 use pac_repro::types::{BackendKind, Op, RequestKind, SimConfig};
 use pac_repro::workloads::multiproc::single_process;
 use pac_repro::workloads::Bench;
@@ -119,6 +119,45 @@ fn skip_ahead_preserves_drain_cycle() {
         let m_fast = fast.run(800);
         assert_eq!(m_slow.runtime_cycles, m_fast.runtime_cycles, "{kind:?}: drain cycle moved");
         assert_eq!(slow.now(), fast.now(), "{kind:?}: final clock differs");
+    }
+}
+
+/// Pausing every 97 cycles lands every `Paused` exactly on its
+/// `stop_at` under both steppings, and a run that checkpoints and
+/// restores at every pause finishes with the uninterrupted metrics and
+/// final clock. (A skip could once land one cycle past the boundary.)
+#[test]
+fn pauses_land_exactly_on_stop_at_under_both_steppings() {
+    const ACCESSES: u64 = 300;
+    let cfg = SimConfig { cores: 8, ..SimConfig::default() };
+    let specs = || single_process(Bench::Stream, cfg.cores, 7);
+    for stepping in [Stepping::EveryCycle, Stepping::SkipAhead] {
+        for &kind in &KINDS {
+            let build = || SimSystem::with_options(cfg, specs(), kind, false, false, stepping);
+            let mut whole = build();
+            let expected = whole.run(ACCESSES);
+            let meta = format!("pause-probe/{}/{stepping:?}", kind.label());
+            let mut sys = build();
+            sys.begin_run(ACCESSES);
+            let limit = sys.run_limit();
+            let (mut stop_at, mut pauses) = (0, 0);
+            loop {
+                stop_at += 97;
+                match sys.advance(limit, stop_at) {
+                    RunProgress::Paused => {
+                        assert_eq!(sys.now(), stop_at, "{kind:?}/{stepping:?}: pause off the boundary");
+                        pauses += 1;
+                        let bytes = sys.save_state(&meta).expect("checkpoint serializes");
+                        sys = SimSystem::restore(specs(), &bytes, &meta).expect("checkpoint restores");
+                    }
+                    RunProgress::Done => break,
+                    other => panic!("{kind:?}/{stepping:?}: unexpected {other:?}"),
+                }
+            }
+            assert!(pauses > 100, "{kind:?}/{stepping:?}: only {pauses} pauses");
+            assert_eq!(sys.finish_run(), expected, "{kind:?}/{stepping:?}: resumed run diverged");
+            assert_eq!(sys.now(), whole.now(), "{kind:?}/{stepping:?}: final clock differs");
+        }
     }
 }
 
