@@ -13,12 +13,20 @@
 //! The checker never panics: violations are *collected*, because the
 //! conformance suite needs faulty runs to complete and then prove the
 //! right invariant fired.
+//!
+//! Its state follows what is in flight, not the run's history: a
+//! dispatch keeps its full record only until the completion that
+//! follows its response, and is then remembered as one bit of an
+//! answered-id set, as the model remembers served raw ids.
 
+use crate::idset::IdSet;
 use crate::invariant::{Invariant, Violation};
-use crate::ledger::IdLedger;
 use crate::model::{FunctionalModel, ServeError};
 use pac_core::DispatchedRequest;
-use pac_types::{Cycle, MemRequest, Op, RequestKind, SimConfig, CACHE_LINE_BYTES, PAGE_BYTES};
+use pac_types::{
+    Cycle, IdHash, MemRequest, Op, RequestKind, SimConfig, CACHE_LINE_BYTES, PAGE_BYTES,
+};
+use std::collections::HashMap;
 
 /// Checker parameters, derived from the simulated system's geometry.
 #[derive(Debug, Clone, Copy)]
@@ -52,7 +60,8 @@ impl OracleConfig {
     }
 }
 
-/// Ledger entry for one dispatched memory request.
+/// Ledger entry for one dispatched memory request, kept until the
+/// completion that follows its response.
 #[derive(Debug, Clone, Copy)]
 struct DispatchRecord {
     addr: u64,
@@ -136,7 +145,10 @@ fn smallest_first(ids: impl Iterator<Item = u64>) -> Vec<u64> {
 pub struct LockstepChecker {
     cfg: OracleConfig,
     model: FunctionalModel,
-    dispatches: IdLedger<DispatchRecord>,
+    /// Dispatches not yet completed after their response, by id.
+    live: HashMap<u64, DispatchRecord, IdHash>,
+    /// Dispatches that were answered and then completed.
+    answered: IdSet,
     violations: Vec<Violation>,
     counts: [u64; Invariant::ALL.len()],
     /// Last structural-integrity detail recorded; suppresses the flood a
@@ -148,7 +160,7 @@ pub struct LockstepChecker {
 }
 
 pac_types::snapshot_fields!(LockstepChecker {
-    cfg, model, dispatches, violations, counts, last_structural,
+    cfg, model, live, answered, violations, counts, last_structural,
     dispatched, responses, finalized,
 });
 
@@ -157,7 +169,8 @@ impl LockstepChecker {
         LockstepChecker {
             cfg,
             model: FunctionalModel::new(),
-            dispatches: IdLedger::default(),
+            live: HashMap::default(),
+            answered: IdSet::default(),
             violations: Vec::new(),
             counts: [0; Invariant::ALL.len()],
             last_structural: None,
@@ -243,7 +256,8 @@ impl LockstepChecker {
         }
         let rec =
             DispatchRecord { addr: d.addr, bytes: d.bytes, op: d.op, at: now, responded: false };
-        if self.dispatches.insert(d.dispatch_id, rec).is_some() {
+        let live_before = self.live.insert(d.dispatch_id, rec).is_some();
+        if live_before || self.answered.contains(d.dispatch_id) {
             self.record(
                 Invariant::DispatchGeometry,
                 now,
@@ -256,12 +270,13 @@ impl LockstepChecker {
     /// coalescer's `complete` fans it out.
     pub fn note_response(&mut self, id: u64, addr: u64, bytes: u64, op: Op, now: Cycle) {
         self.responses += 1;
-        let Some(rec) = self.dispatches.get_mut(id) else {
-            self.record(
-                Invariant::SpuriousResponse,
-                now,
-                format!("response for unknown dispatch id {id} ({addr:#x})"),
-            );
+        let Some(rec) = self.live.get_mut(&id) else {
+            let detail = if self.answered.contains(id) {
+                format!("second response for dispatch {id} ({addr:#x})")
+            } else {
+                format!("response for unknown dispatch id {id} ({addr:#x})")
+            };
+            self.record(Invariant::SpuriousResponse, now, detail);
             return;
         };
         if rec.responded {
@@ -297,15 +312,31 @@ impl LockstepChecker {
     }
 
     /// The raw-request fan-out of one completion: the coalescer reported
-    /// `satisfied` raw ids for `dispatch_id`.
+    /// `satisfied` raw ids for `dispatch_id`. The completion that follows
+    /// a response retires the dispatch's live record.
     pub fn note_completion(&mut self, dispatch_id: u64, satisfied: &[u64], now: Cycle) {
-        let rec = self.dispatches.get(dispatch_id).copied();
+        let rec = self.live.get(&dispatch_id).copied();
+        if rec.is_some_and(|r| r.responded) {
+            self.live.remove(&dispatch_id);
+            self.answered.insert(dispatch_id);
+        } else if rec.is_none() && self.answered.contains(dispatch_id) {
+            // The dispatch already completed and its record is gone:
+            // every raw id it names now is a second fan-out.
+            for &raw_id in satisfied {
+                self.record(
+                    Invariant::DuplicateCompletion,
+                    now,
+                    format!("dispatch {dispatch_id} completed again, naming raw {raw_id}"),
+                );
+            }
+            return;
+        }
         for &raw_id in satisfied {
-            // Coverage is checked against the dispatch ledger; exactly-
-            // once against the functional model.
+            // Coverage is checked against the live record; exactly-once
+            // against the functional model.
             let serve = match rec {
                 Some(r) => self.model.serve(raw_id, r.addr, r.bytes),
-                // No ledger entry: still enforce exactly-once with an
+                // Never dispatched: still enforce exactly-once with an
                 // infinite span.
                 None => self.model.serve(raw_id, 0, u64::MAX),
             };
@@ -382,7 +413,7 @@ impl LockstepChecker {
             );
         }
         let lost =
-            smallest_first(self.dispatches.iter().filter(|(_, r)| !r.responded).map(|(id, _)| id));
+            smallest_first(self.live.iter().filter(|(_, r)| !r.responded).map(|(&id, _)| id));
         if !lost.is_empty() {
             self.record(
                 Invariant::LostResponse,
@@ -418,7 +449,7 @@ impl LockstepChecker {
             violations: self.violations.clone(),
             counts: self.counts,
             accepted_raw: self.model.accepted(),
-            served_raw: self.model.served() as u64,
+            served_raw: self.model.served(),
             dispatches: self.dispatched,
             responses: self.responses,
         }
@@ -610,9 +641,6 @@ mod tests {
 
         c.finalize(100);
         restored.finalize(100);
-        let details = |c: &LockstepChecker| -> Vec<String> {
-            c.report().violations.iter().map(|v| v.detail.clone()).collect()
-        };
         assert_eq!(details(&c), details(&restored));
         assert_eq!(
             details(&c),
@@ -621,6 +649,90 @@ mod tests {
                 "13 dispatches never answered (e.g. [1, 3, 4, 5, 6, 7, 8, 9])",
             ]
         );
+    }
+
+    fn details(c: &LockstepChecker) -> Vec<String> {
+        c.report().violations.iter().map(|v| v.detail.clone()).collect()
+    }
+
+    /// Dispatch 0 carries raw 1 through the whole protocol, so its live
+    /// record is retired and only the answered set remembers it.
+    fn completed_once() -> LockstepChecker {
+        let mut c = checker();
+        c.note_push(&miss(1, 0x9040), true, true, 0);
+        c.note_push(&miss(2, 0x9080), true, true, 0);
+        c.note_dispatch(&dispatch(0, 0x9040, 128, 1), 2);
+        c.note_response(0, 0x9040, 128, Op::Load, 90);
+        c.note_completion(0, &[1], 90);
+        assert!(c.live.is_empty() && c.answered.contains(0));
+        c
+    }
+
+    #[test]
+    fn a_response_or_a_reuse_after_completion_is_still_flagged() {
+        let mut c = completed_once();
+        c.note_response(0, 0x9040, 128, Op::Load, 95);
+        c.note_response(5, 0x9040, 64, Op::Load, 96);
+        c.note_dispatch(&dispatch(0, 0x9080, 64, 1), 97);
+        assert_eq!(
+            details(&c),
+            vec![
+                "second response for dispatch 0 (0x9040)",
+                "response for unknown dispatch id 5 (0x9040)",
+                "dispatch id 0 reused",
+            ]
+        );
+        // The reused id is live again: its own response is its first,
+        // and its echo is checked against the new record.
+        c.note_response(0, 0x9080, 64, Op::Load, 120);
+        c.note_completion(0, &[2], 120);
+        c.finalize(130);
+        assert_eq!(c.report().count(Invariant::SpuriousResponse), 2);
+        assert!(!c.report().detected(Invariant::EchoIntegrity));
+        assert_eq!(c.report().served_raw, 2);
+    }
+
+    /// A completed dispatch completing again, naming raw ids, flags each
+    /// id as a duplicate completion and serves none of them, even one
+    /// still pending inside the dispatch's old span.
+    #[test]
+    fn a_second_completion_of_a_completed_dispatch_names_duplicates() {
+        let mut c = completed_once();
+        c.note_completion(0, &[1, 2], 95);
+        c.note_completion(0, &[], 96);
+        let r = c.report();
+        assert_eq!(r.count(Invariant::DuplicateCompletion), 2);
+        assert_eq!(r.served_raw, 1);
+        assert_eq!(
+            details(&c),
+            vec![
+                "dispatch 0 completed again, naming raw 1",
+                "dispatch 0 completed again, naming raw 2",
+            ]
+        );
+        c.finalize(100);
+        assert!(c.report().detected(Invariant::ResponseConservation), "raw 2 is never served");
+    }
+
+    /// A long clean run keeps no per-dispatch record: the saved checker
+    /// holds one bit per served raw id and per answered dispatch.
+    #[test]
+    fn a_long_clean_run_saves_small() {
+        use pac_types::{SnapWriter, Snapshot};
+        let mut c = checker();
+        for id in 0..100_000u64 {
+            let addr = 0x10_0000 + (id % 4096) * 64;
+            c.note_push(&miss(id, addr), true, true, id);
+            c.note_dispatch(&dispatch(id, addr, 64, 1), id);
+            c.note_response(id, addr, 64, Op::Load, id + 50);
+            c.note_completion(id, &[id], id + 50);
+        }
+        assert!(c.live.is_empty() && c.model.outstanding() == 0);
+        let mut w = SnapWriter::new();
+        c.save(&mut w);
+        assert!(w.len() < 64 << 10, "{} B", w.len());
+        c.finalize(200_000);
+        assert!(c.report().is_clean(), "{}", c.report().summary());
     }
 
     #[test]

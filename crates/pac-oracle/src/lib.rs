@@ -22,8 +22,8 @@
 //! relies on.
 
 pub mod checker;
+mod idset;
 pub mod invariant;
-mod ledger;
 pub mod model;
 
 pub use checker::{LockstepChecker, OracleConfig, OracleReport};

@@ -8,8 +8,9 @@
 //! Everything the lockstep checker asserts about conservation reduces to
 //! bookkeeping against this model.
 
+use crate::idset::IdSet;
 use pac_types::{Cycle, IdHash, MemRequest, Op};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One accepted-but-unserved raw request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +39,8 @@ pub enum ServeError {
 #[derive(Debug, Default)]
 pub struct FunctionalModel {
     pending: HashMap<u64, PendingRaw, IdHash>,
-    /// Ids served so far; only membership is ever asked.
-    served: HashSet<u64, IdHash>,
+    /// Ids served so far, 64 to a word.
+    served: IdSet,
     accepted: u64,
 }
 
@@ -64,7 +65,7 @@ impl FunctionalModel {
     /// `raw_id`. Exactly-once and coverage are enforced here.
     pub fn serve(&mut self, raw_id: u64, addr: u64, bytes: u64) -> Result<(), ServeError> {
         let Some(raw) = self.pending.get(&raw_id) else {
-            return Err(if self.served.contains(&raw_id) {
+            return Err(if self.served.contains(raw_id) {
                 ServeError::AlreadyServed(raw_id)
             } else {
                 ServeError::Unknown(raw_id)
@@ -84,9 +85,9 @@ impl FunctionalModel {
         self.accepted
     }
 
-    /// Raw requests served so far.
+    /// Distinct raw request ids served so far.
     #[inline]
-    pub fn served(&self) -> usize {
+    pub fn served(&self) -> u64 {
         self.served.len()
     }
 

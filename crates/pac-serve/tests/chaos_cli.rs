@@ -190,7 +190,8 @@ fn resume_from_checkpoint_extends_the_progress_stream() {
 
 /// An old-format checkpoint is refused, never misread. Kill a campaign
 /// after its first checkpoint, patch that checkpoint's format version
-/// to 4 and re-seal its checksum, then resume: the restoring attempt
+/// to the one the last format change retired (`SNAP_VERSION - 1`) and
+/// re-seal its checksum, then resume: the restoring attempt
 /// fails with the version error, the retry starts from scratch, and the
 /// cell still finishes with the fingerprint of an uninterrupted run.
 #[test]
@@ -214,7 +215,8 @@ fn resume_refuses_an_old_format_checkpoint_and_restarts_the_cell() {
     assert_eq!(ckpts.len(), 1, "one journaled checkpoint: {ckpts:?}");
     let mut bytes = std::fs::read(&ckpts[0]).expect("read checkpoint");
     assert_eq!(bytes[8..12], SNAP_VERSION.to_le_bytes(), "version follows the 8-byte magic");
-    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+    let old = SNAP_VERSION - 1;
+    bytes[8..12].copy_from_slice(&old.to_le_bytes());
     let body = bytes.len() - 8;
     let sum = frame_checksum(&bytes[..body]);
     bytes[body..].copy_from_slice(&sum.to_le_bytes());
@@ -223,7 +225,7 @@ fn resume_refuses_an_old_format_checkpoint_and_restarts_the_cell() {
     let resumed = run(&["resume", "--state-dir", &state]);
     assert!(resumed.status.success(), "resume failed: {}", stderr_of(&resumed));
     let journal = std::fs::read_to_string(sb.state().join("journal.jsonl")).unwrap();
-    let refusal = SnapError::BadVersion { found: 4, expected: SNAP_VERSION }.to_string();
+    let refusal = SnapError::BadVersion { found: old, expected: SNAP_VERSION }.to_string();
     let fails: Vec<&str> = journal.lines().filter(|l| l.contains("\"ev\":\"fail\"")).collect();
     assert_eq!(fails.len(), 1, "{journal}");
     assert!(fails[0].contains("\"attempt\":1") && fails[0].contains(&refusal), "{}", fails[0]);

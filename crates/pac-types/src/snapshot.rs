@@ -25,10 +25,11 @@
 //!   *content*, not of the heap's internal arrangement — rebuilding from
 //!   sorted elements is behavior-identical.
 //!
-//! Components whose size follows capacity rather than live state encode
-//! themselves so a checkpoint grows with what is live: the caches write
-//! their lines as runs that skip never-filled lines, and the oracle's
-//! dispatch ledger writes in-order ids as a plain vector.
+//! Components whose size follows capacity or history rather than live
+//! state encode themselves so a checkpoint grows with what is live: the
+//! caches write their lines as runs that skip never-filled lines, and
+//! the oracle keeps records only of dispatches in flight and writes the
+//! ids it has served or answered as bitset words, 64 ids to a word.
 //!
 //! # File frame
 //!
@@ -60,7 +61,9 @@ pub const SNAP_MAGIC: [u8; 8] = *b"PACSNAP1";
 /// v5: caches write their lines as runs, the oracle's dispatch ledger
 /// is id-indexed and its served ledger a set of ids, and the frame
 /// checksum is [`frame_checksum`].
-pub const SNAP_VERSION: u32 = 5;
+/// v6: the oracle keeps only live dispatch records, and its served raw
+/// ids and answered dispatch ids are bitset words keyed by `id >> 6`.
+pub const SNAP_VERSION: u32 = 6;
 
 /// Why a snapshot could not be read back.
 #[derive(Debug, Clone, PartialEq, Eq)]

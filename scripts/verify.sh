@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo verification gate: release build, every workspace test, and the
-# lint wall.
+# lint wall over every target (libraries, binaries, tests, examples).
 #
 #   $ scripts/verify.sh
 #
@@ -16,7 +16,7 @@ cargo build --release
 echo "== tier-1: test suite (every workspace crate) =="
 cargo test --workspace -q
 
-echo "== lint: clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+echo "== lint: clippy, every target (deny warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== verify: all stages passed =="

@@ -443,6 +443,33 @@ fn fresh_system_checkpoint_is_small() {
     }
 }
 
+/// The oracle's part of a checkpoint follows what is in flight, not the
+/// run's history: two identical 8-core BFS runs paused near the end of
+/// 10 000 accesses per core, one checked by the oracle and one not,
+/// checkpoint within 64 KiB of each other.
+#[test]
+fn late_checkpoint_oracle_state_follows_what_is_in_flight() {
+    const LONG: u64 = 10_000;
+    let cfg = SimConfig::default();
+    assert_eq!(cfg.cores, 8);
+    let end = fresh_system(Bench::Bfs, CoalescerKind::Pac, cfg, 1).run(LONG).runtime_cycles;
+    let paused = |oracle: bool| {
+        let mut sys = fresh_system(Bench::Bfs, CoalescerKind::Pac, cfg, 1);
+        if oracle {
+            sys.attach_oracle();
+        }
+        sys.begin_run(LONG);
+        assert_eq!(sys.advance(sys.run_limit(), end - end / 20), RunProgress::Paused);
+        sys.save_state("late").expect("checkpoint serializes").len()
+    };
+    let (plain, checked) = (paused(false), paused(true));
+    assert!(
+        checked - plain < 64 << 10,
+        "the oracle adds {} B to a {plain} B checkpoint",
+        checked - plain
+    );
+}
+
 /// The guard rails: tampered bytes, wrong meta, and wrong workload
 /// specs are all refused with the right error — never a silent
 /// misresume.

@@ -13,7 +13,7 @@
 
 use pac_repro::sim::{replay_with, run_bench, CoalescerKind, ExperimentConfig, RunMetrics};
 use pac_repro::sim::{RunProgress, SimSystem, Stepping, TraceEntry};
-use pac_repro::types::{BackendKind, Op, RequestKind, SimConfig};
+use pac_repro::types::{BackendKind, Cycle, FaultClass, FaultPlan, Op, RequestKind, SimConfig};
 use pac_repro::workloads::multiproc::single_process;
 use pac_repro::workloads::Bench;
 
@@ -239,4 +239,62 @@ fn replay_skip_ahead_matches_every_cycle_on_mixed_kinds() {
         push(base + 201, page + 0x2040, Op::Store, RequestKind::Atomic, 3);
     }
     assert_replay_equivalent("mixed", &trace);
+}
+
+/// The run's last dispatch loses its response: a drop plan whose only
+/// hit among the clean run's dispatch ids is the last one. With
+/// nothing else in flight, the device goes idle, and the run ends, at
+/// the dropped response's data-ready cycle, an event that surfaces no
+/// response; skip-ahead must still stop there rather than at the
+/// previous visible response. Both backends, STREAM, 2 cores, 300
+/// accesses per core, workload seed 7. The plan seeds the search finds
+/// (HMC 494, dropping dispatch 337 of 338; HBM 66, dropping 387 of
+/// 388) ended the skip-ahead run 37 and 47 cycles early when the
+/// fault-plan clause of `next_visible` was removed.
+#[test]
+fn skip_ahead_matches_every_cycle_when_the_last_response_is_dropped() {
+    const ACCESSES: u64 = 300;
+    for backend in BackendKind::ALL {
+        let cfg = SimConfig { cores: 2, ..SimConfig::for_backend(backend) };
+        let build = |stepping, plan: Option<FaultPlan>| {
+            let specs = single_process(Bench::Stream, cfg.cores, 7);
+            let mut sys =
+                SimSystem::with_options(cfg, specs, CoalescerKind::Raw, false, false, stepping);
+            sys.attach_oracle();
+            if let Some(plan) = plan {
+                sys.set_fault_plan(plan).expect("valid fault plan");
+            }
+            sys
+        };
+        let mut clean = build(Stepping::SkipAhead, None);
+        clean.run(ACCESSES);
+        let dispatches = clean.oracle_report().expect("oracle attached").dispatches;
+        let drop_plan = |seed| FaultPlan {
+            rate_per_1024: 1,
+            max_faults: 1,
+            ..FaultPlan::new(FaultClass::DropResponse, seed)
+        };
+        let only_the_last =
+            |p: &FaultPlan| (0..dispatches).filter(|&id| p.should_inject(id)).eq([dispatches - 1]);
+        let plan = (0..1 << 16)
+            .map(drop_plan)
+            .find(only_the_last)
+            .expect("some plan seed drops only the last dispatch");
+
+        let outcome = |stepping| {
+            let mut sys = build(stepping, Some(plan));
+            sys.begin_run(ACCESSES);
+            let progress = sys.advance(sys.run_limit(), Cycle::MAX);
+            assert_eq!(progress, RunProgress::Done, "{backend:?}/{stepping:?}");
+            let metrics = sys.finish_run();
+            let oracle = sys.oracle_report().expect("oracle attached").summary();
+            (metrics, sys.now(), sys.faults_injected(), oracle)
+        };
+        let every = outcome(Stepping::EveryCycle);
+        let skip = outcome(Stepping::SkipAhead);
+        assert_eq!(every.2, 1, "{backend:?}: plan seed {} injected no drop", plan.seed);
+        assert!(every.3.contains("lost-response"), "{backend:?}: {}", every.3);
+        assert_eq!(every.1, skip.1, "{backend:?}: final clock differs (plan seed {})", plan.seed);
+        assert_eq!(every, skip, "{backend:?}: plan seed {}", plan.seed);
+    }
 }
