@@ -3,7 +3,7 @@
 //!
 //! ```console
 //! $ conformance                      # full scale
-//! $ conformance --quick              # CI scale (also via PAC_QUICK=1)
+//! $ conformance --quick              # CI scale
 //! $ conformance --recover --quick    # recovery mode: survive, don't just detect
 //! $ conformance --ras --quick        # hardware-RAS mode: CRC/ECC/scrub survived
 //! $ conformance --backend hbm        # run the matrices on the HBM backend
@@ -50,64 +50,61 @@
 //! `reference/cycles.txt` once all of them have finished; it is the
 //! table's one regeneration path.
 //!
-//! Exits nonzero on any failing cell in any mode.
+//! The five modes (`--recover`, `--ras`, `--diff`, `--gate`, `--bless`)
+//! exclude one another. An unknown flag, a second mode or a stray
+//! argument exits 2 with the usage line before anything runs. Exits 1
+//! on any failing cell in any mode.
 
 use pac_bench::conformance::{
     clean_matrix, degraded_table, determinism_gate, disabled_reproduction, expected_invariants,
     fault_matrix, ras_classes_for, ras_matrix, recovery_matrix, ConformanceScale,
 };
 use pac_bench::diff::diff_matrix;
-use pac_bench::runner::{
-    backend_from_args, progress_from_args, reject_unknown_args, threads_from_args,
-};
 use pac_bench::{harness, matrix, reference, ParallelRunner};
 use pac_obs::{PhaseTimer, ProgressSink};
 use pac_sim::ExperimentConfig;
+use pac_types::cli::{self, Args, Flags};
 use pac_types::{BackendKind, RecoveryConfig, SimConfig};
 
 const USAGE: &str = "usage: conformance [--quick] [--recover | --ras | --diff | --gate | --bless] \
                      [--backend hmc|hbm] [--threads N] [--progress <path|->]";
 
+const FLAGS: Flags = Flags {
+    switches: &["--quick", "--recover", "--ras", "--diff", "--gate", "--bless"],
+    valued: &["--backend", "--threads", "--progress"],
+    modes: &["--recover", "--ras", "--diff", "--gate", "--bless"],
+};
+
+/// The worker pool and memory backend the flags select.
+fn pool_and_backend(args: &Args) -> Result<(ParallelRunner, BackendKind), String> {
+    args.positionals(..=0)?;
+    let threads = args.int("--threads")?.unwrap_or(0);
+    let backend = match args.value("--backend") {
+        Some(v) => cli::lookup("backend", v, BackendKind::ALL, BackendKind::label)?,
+        None => BackendKind::Hmc,
+    };
+    Ok((ParallelRunner::new(threads), backend))
+}
+
 fn main() {
     pac_types::sigwatch::install();
-    let args: Vec<String> = std::env::args().collect();
-    let switches = ["--quick", "--recover", "--ras", "--diff", "--gate", "--bless"];
-    if let Err(e) = reject_unknown_args(&args[1..], &switches) {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2);
-    }
-    let quick = args.iter().any(|a| a == "--quick") || harness::quick_mode();
-    let recover = args.iter().any(|a| a == "--recover");
-    let ras = args.iter().any(|a| a == "--ras");
-    let diff = args.iter().any(|a| a == "--diff");
-    let gate = args.iter().any(|a| a == "--gate");
-    let bless = args.iter().any(|a| a == "--bless");
-    let (runner, backend) = match threads_from_args(&args)
-        .map(ParallelRunner::new)
-        .and_then(|r| backend_from_args(&args).map(|b| (r, b)))
-    {
-        Ok(rb) => rb,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    if bless {
+    let args = FLAGS.from_env(USAGE);
+    let (runner, backend) =
+        pool_and_backend(&args).unwrap_or_else(|e| cli::usage_exit(&e, USAGE));
+    let quick = args.has("--quick");
+    let (recover, ras, diff) = (args.has("--recover"), args.has("--ras"), args.has("--diff"));
+    if args.has("--bless") {
         run_bless(&runner);
         return;
     }
-    let progress = match progress_from_args(&args) {
-        Ok(None) => ProgressSink::disabled(),
-        Ok(Some(arg)) => ProgressSink::create(&arg).unwrap_or_else(|e| {
+    let progress = match args.value("--progress") {
+        None => ProgressSink::disabled(),
+        Some(arg) => ProgressSink::create(arg).unwrap_or_else(|e| {
             eprintln!("--progress {arg}: {e}");
             std::process::exit(2);
         }),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
     };
-    if gate {
+    if args.has("--gate") {
         run_gate(quick, backend, &runner, &progress);
         return;
     }

@@ -4,47 +4,38 @@
 //! where `<id>` is one of: table1, fig1, fig2, fig6a, fig6b, fig6c,
 //! fig7, fig8, fig9, fig10a, fig10b, fig10c, fig11a, fig11b, fig11c,
 //! fig12a, fig12b, fig12c, fig13, fig14, fig15, ablation-timeout,
-//! ablation-streams, ablation-shared, ablation-hbm, or `all`.
+//! ablation-streams, ablation-shared, ablation-hbm, ablation-links,
+//! ablation-vm, or `all`.
 //!
-//! `--quick` (or `PAC_QUICK=1`) shrinks the per-core access budget
-//! (default 20 000) so every figure smoke-runs in seconds.
-//! `PAC_ACCESSES` (env) overrides the budget in either mode; a value
-//! that is not a positive integer exits 2.
+//! `--quick` shrinks the per-core access budget (default 20 000) so
+//! every figure smoke-runs in seconds. `PAC_ACCESSES` (env) overrides
+//! the budget in either mode. `figures` takes no other flag: it sizes
+//! its worker pool from `PAC_THREADS`. An unknown flag or figure id, or
+//! a `PAC_ACCESSES` that is not a positive integer, exits 2 before any
+//! figure runs.
 
 use pac_bench::{figures, Harness};
+use pac_types::cli::{self, Args, Flags};
+
+const FLAGS: Flags = Flags { switches: &["--quick"], valued: &[], modes: &[] };
+
+/// The figure ids to run, in order; `all` anywhere means every figure.
+fn ids(args: &Args) -> Result<Vec<&'static str>, String> {
+    let known = figures::ALL_IDS.iter().copied().chain(["all"]);
+    let ids = args.positionals(1..)?.iter();
+    let ids = ids.map(|id| cli::lookup("figure id", id, known.clone(), |id| id));
+    let ids = ids.collect::<Result<Vec<_>, _>>()?;
+    Ok(if ids.contains(&"all") { figures::ALL_IDS.to_vec() } else { ids })
+}
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    args.retain(|a| a != "--quick");
     let usage =
         format!("usage: figures [--quick] <id>... | all\nids: {}", figures::ALL_IDS.join(", "));
-    // A mistyped or unsupported flag must not silently run the default
-    // (full-scale) set; figures sizes its pool from PAC_THREADS alone.
-    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
-        eprintln!("unknown argument '{flag}'\n{usage}");
-        std::process::exit(2);
-    }
-    if args.is_empty() {
-        eprintln!("{usage}");
-        std::process::exit(2);
-    }
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        figures::ALL_IDS.to_vec()
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
-    };
-    let mut h = Harness::from_env(quick).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = FLAGS.from_env(&usage);
+    let ids = ids(&args).unwrap_or_else(|e| cli::usage_exit(&e, &usage));
+    let mut h = Harness::from_env(args.has("--quick"))
+        .unwrap_or_else(|e| cli::usage_exit(&e.to_string(), &usage));
     for id in ids {
-        match figures::run_figure(id, &mut h) {
-            Some(text) => println!("{text}"),
-            None => {
-                eprintln!("unknown figure id '{id}'; known: {}", figures::ALL_IDS.join(", "));
-                std::process::exit(2);
-            }
-        }
+        println!("{}", figures::run_figure(id, &mut h).expect("every listed id has a figure"));
     }
 }

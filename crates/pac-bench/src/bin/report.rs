@@ -17,53 +17,29 @@
 //! the aggregated percentiles are bit-identical to what the in-run
 //! `MetricsRegistry` reported.
 //!
-//! Exits nonzero when a stream is unreadable, carries malformed lines,
-//! or records failed cells (`--allow-failures` downgrades the latter).
+//! Exits 1 when a stream is unreadable, carries malformed lines, or
+//! records failed cells (`--allow-failures` downgrades the latter), and
+//! 2 on a usage error: an unknown flag or a missing input.
 
 use pac_obs::CampaignReport;
+use pac_types::cli::{self, Flags};
 use std::io::Read as _;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: report [--json <file>] [--md <file>] [--prom <file>] [--allow-failures] \
-         <progress.jsonl|-> [more.jsonl ...]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: report [--json <file>] [--md <file>] [--prom <file>] \
+                     [--allow-failures] <progress.jsonl|-> [more.jsonl ...]";
 
-fn value(it: &mut std::vec::IntoIter<String>, flag: &str) -> String {
-    it.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        usage();
-    })
-}
+const FLAGS: Flags = Flags {
+    switches: &["--allow-failures"],
+    valued: &["--json", "--md", "--prom"],
+    modes: &[],
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json_out: Option<String> = None;
-    let mut md_out: Option<String> = None;
-    let mut prom_out: Option<String> = None;
-    let mut allow_failures = false;
-    let mut inputs: Vec<String> = Vec::new();
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json_out = Some(value(&mut it, "--json")),
-            "--md" => md_out = Some(value(&mut it, "--md")),
-            "--prom" => prom_out = Some(value(&mut it, "--prom")),
-            "--allow-failures" => allow_failures = true,
-            "-" => inputs.push(a),
-            s if s.starts_with("--") => usage(),
-            _ => inputs.push(a),
-        }
-    }
-    if inputs.is_empty() {
-        usage();
-    }
+    let args = FLAGS.from_env(USAGE);
+    let inputs = args.positionals(1..).unwrap_or_else(|e| cli::usage_exit(&e, USAGE));
 
     let mut report = CampaignReport::new();
-    for input in &inputs {
+    for input in inputs {
         let text = if input == "-" {
             let mut buf = String::new();
             if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
@@ -90,20 +66,20 @@ fn main() {
     }
     if report.total_failures() > 0 {
         eprintln!("{} failed cell(s) in the ingested campaigns", report.total_failures());
-        if !allow_failures {
+        if !args.has("--allow-failures") {
             failed = true;
         }
     }
 
     let md = report.render_markdown();
-    match &md_out {
+    match args.value("--md") {
         Some(path) => write_or_die(path, &md),
         None => print!("{md}"),
     }
-    if let Some(path) = &json_out {
+    if let Some(path) = args.value("--json") {
         write_or_die(path, &report.render_json());
     }
-    if let Some(path) = &prom_out {
+    if let Some(path) = args.value("--prom") {
         write_or_die(path, &report.render_prometheus());
     }
 

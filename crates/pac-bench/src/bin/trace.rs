@@ -10,6 +10,11 @@
 //! $ trace --backend hbm --guard           # the same over the HBM rows
 //! ```
 //!
+//! `--all`, `--guard` and `--fault` exclude one another. Every argument
+//! (each flag, the bench and coalescer names, the `--ras` plan against
+//! the backend, the argument count) is checked before a cell runs or a
+//! file is written: a usage error exits 2 with the usage text.
+//!
 //! Full-trace runs write Chrome `trace_event` JSON — open the file at
 //! <https://ui.perfetto.dev> or `chrome://tracing`. Every run also
 //! prints the human-readable report: oracle verdict, flight-recorder
@@ -17,61 +22,38 @@
 //! per-stage latency histograms.
 
 use pac_bench::error::{self, BenchError};
-use pac_bench::runner::{
-    backend_from_args, fault_class_from_name, progress_from_args, ras_from_args,
-    threads_from_args,
-};
 use pac_bench::trace_cmd::{run_cell, throughput_guard};
 use pac_bench::{reference, ParallelRunner};
 use pac_obs::{CellId, ProgressSink};
 use pac_sim::{CoalescerKind, ExperimentConfig};
-use pac_types::{BackendKind, FaultClass, FaultPlan, SimConfig, TraceConfig};
+use pac_types::cli::{self, Args, Flags};
+use pac_types::{BackendKind, FaultClass, FaultPlan, RasPlan, SimConfig, TraceConfig};
 use pac_workloads::Bench;
 use std::path::PathBuf;
 use std::time::Instant;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  trace [--quick] [--backend hmc|hbm] [--progress <path|->] \
-         <BENCH> <raw|mshr-dmc|pac> [out.json]\n  \
-         trace [--quick] [--backend hmc|hbm] --all [--threads <T>] [out-dir]\n  \
-         trace [--quick] [--backend hmc|hbm] --fault \
-         <drop-response|duplicate-response|delay-response|corrupt-addr> \
-         <BENCH> <raw|mshr-dmc|pac> [out.json]\n  \
-         trace [--quick] [--backend hmc|hbm] --ras <class>[:key=value,...] \
-         <BENCH> <raw|mshr-dmc|pac> [out.json]\n  \
-         trace [--quick] [--backend hmc|hbm] --guard"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage:\n  trace [--quick] [--backend hmc|hbm] [--progress <path|->] \
+                     <BENCH> <raw|mshr-dmc|pac> [out.json]\n  \
+                     trace [--quick] [--backend hmc|hbm] [--progress <path|->] --all \
+                     [--threads <T>] [out-dir]\n  \
+                     trace [--quick] [--backend hmc|hbm] --fault \
+                     <drop-response|duplicate-response|delay-response|corrupt-addr> \
+                     <BENCH> <raw|mshr-dmc|pac> [out.json]\n  \
+                     trace [--quick] [--backend hmc|hbm] --ras <class>[:key=value,...] \
+                     <BENCH> <raw|mshr-dmc|pac> [out.json]\n  \
+                     trace [--quick] [--backend hmc|hbm] --guard";
 
-fn parse_bench(s: &str) -> Bench {
-    Bench::from_name(s).unwrap_or_else(|| {
-        eprintln!(
-            "unknown benchmark '{s}'; known: {}",
-            Bench::ALL.map(|b| b.name()).join(", ")
-        );
-        std::process::exit(2);
-    })
-}
+const FLAGS: Flags = Flags {
+    switches: &["--quick", "--all", "--guard"],
+    valued: &["--backend", "--threads", "--progress", "--ras", "--fault"],
+    modes: &["--all", "--guard", "--fault"],
+};
 
-fn parse_kind(s: &str) -> CoalescerKind {
-    match s {
-        "raw" => CoalescerKind::Raw,
-        "mshr-dmc" => CoalescerKind::MshrDmc,
-        "pac" => CoalescerKind::Pac,
-        _ => {
-            eprintln!("unknown coalescer '{s}'; known: raw, mshr-dmc, pac");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_fault(s: &str) -> FaultClass {
-    fault_class_from_name(s).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+/// What the positional arguments and the mode flag select.
+enum Job<'a> {
+    Guard,
+    All(&'a str),
+    Cell { bench: Bench, kind: CoalescerKind, fault: Option<FaultClass>, out: Option<&'a str> },
 }
 
 fn write_out(path: &str, json: &str) -> Result<(), BenchError> {
@@ -81,75 +63,30 @@ fn write_out(path: &str, json: &str) -> Result<(), BenchError> {
 }
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("{e}");
-        std::process::exit(1);
+    pac_types::sigwatch::install();
+    let args = FLAGS.from_env(USAGE);
+    match run(&args) {
+        Ok(()) => {}
+        Err(BenchError::Usage(e)) => cli::usage_exit(&e, USAGE),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
     }
 }
 
-fn run() -> Result<(), BenchError> {
-    pac_types::sigwatch::install();
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = {
-        let before = args.len();
-        args.retain(|a| a != "--quick");
-        args.len() != before
-    } || pac_bench::harness::quick_mode();
+/// Check every argument, then run. Usage errors all surface before the
+/// first cell runs or the first file is written.
+fn run(args: &Args) -> Result<(), BenchError> {
+    let quick = args.has("--quick");
     // `--threads` fans `--all` cells across workers; each traced system
     // runs serially, so the parallelism is purely across independent
     // cells.
-    let runner = match threads_from_args(&args) {
-        Ok(n) => ParallelRunner::new(n),
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
-        }
+    let runner = ParallelRunner::new(args.int("--threads")?.unwrap_or(0));
+    let backend = match args.value("--backend") {
+        Some(v) => cli::lookup("backend", v, BackendKind::ALL, BackendKind::label)?,
+        None => BackendKind::Hmc,
     };
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        args.drain(i..args.len().min(i + 2));
-    }
-    args.retain(|a| !a.starts_with("--threads="));
-    let backend = match backend_from_args(&args) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
-        }
-    };
-    if let Some(i) = args.iter().position(|a| a == "--backend") {
-        args.drain(i..args.len().min(i + 2));
-    }
-    args.retain(|a| !a.starts_with("--backend="));
-    // `--ras <plan>` arms the hardware RAS layer on whatever cell the
-    // positional arguments select. Parsed here (typed usage errors),
-    // validated against the active backend's topology below once the
-    // device config is known.
-    let ras = match ras_from_args(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
-        }
-    };
-    if let Some(i) = args.iter().position(|a| a == "--ras") {
-        args.drain(i..args.len().min(i + 2));
-    }
-    args.retain(|a| !a.starts_with("--ras="));
-    let progress = match progress_from_args(&args) {
-        Ok(None) => ProgressSink::disabled(),
-        Ok(Some(arg)) => ProgressSink::create(&arg).unwrap_or_else(|e| {
-            eprintln!("--progress {arg}: {e}");
-            usage();
-        }),
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
-        }
-    };
-    if let Some(i) = args.iter().position(|a| a == "--progress") {
-        args.drain(i..args.len().min(i + 2));
-    }
-    args.retain(|a| !a.starts_with("--progress="));
     let mut cfg = if quick {
         // Small enough for CI, large enough to populate every stage
         // histogram and exercise the counter tracks.
@@ -158,31 +95,48 @@ fn run() -> Result<(), BenchError> {
         ExperimentConfig::default()
     };
     cfg.sim = SimConfig { cores: cfg.sim.cores, ..SimConfig::for_backend(backend) };
-    // Reject a plan the device would refuse (wrong substrate for the
-    // class, out-of-range target link) before any run starts.
-    let ras = match ras {
-        Some(plan) => {
-            let links = match backend {
-                BackendKind::Hmc => cfg.sim.hmc.links,
-                BackendKind::Hbm => cfg.sim.hbm.channels,
-            };
-            match plan.validate_for(backend, links) {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    eprintln!("{}", BenchError::Usage(e.to_string()));
-                    std::process::exit(2);
-                }
-            }
+    // `--ras <plan>` arms the hardware RAS layer on whatever cell the
+    // positional arguments select. A plan the device would refuse
+    // (wrong substrate for the class, out-of-range target link) is a
+    // usage error too.
+    let links = match backend {
+        BackendKind::Hmc => cfg.sim.hmc.links,
+        BackendKind::Hbm => cfg.sim.hbm.channels,
+    };
+    let ras = match args.value("--ras") {
+        Some(v) => {
+            let plan = RasPlan::parse(v).and_then(|p| p.validate_for(backend, links));
+            Some(plan.map_err(|e| e.to_string())?)
         }
         None => None,
     };
+    let job = if args.has("--guard") {
+        args.positionals(..=0)?;
+        if ras.is_some() {
+            return Err(BenchError::Usage("--guard proves the disarmed path; drop --ras".into()));
+        }
+        Job::Guard
+    } else if args.has("--all") {
+        Job::All(args.positionals(..=1)?.first().map_or("traces", String::as_str))
+    } else {
+        let pos = args.positionals(2..=3)?;
+        let fault = args.value("--fault");
+        Job::Cell {
+            bench: cli::lookup("bench", &pos[0], Bench::ALL, Bench::name)?,
+            kind: cli::lookup("coalescer", &pos[1], CoalescerKind::ALL, CoalescerKind::label)?,
+            fault: fault
+                .map(|v| cli::lookup("fault class", v, FaultClass::ALL, FaultClass::label))
+                .transpose()?,
+            out: pos.get(2).map(String::as_str),
+        }
+    };
+    let progress = match args.value("--progress") {
+        None => ProgressSink::disabled(),
+        Some(arg) => ProgressSink::create(arg).map_err(|e| format!("--progress {arg}: {e}"))?,
+    };
 
-    match args.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
-        ["--guard"] => {
-            if ras.is_some() {
-                eprintln!("--guard proves the disarmed path; drop --ras");
-                std::process::exit(2);
-            }
+    match job {
+        Job::Guard => {
             let mut rows = reference::committed(backend)
                 .map_err(|e| BenchError::Parse(PathBuf::from(reference::PATH), e))?;
             // Quick mode samples a handful of cells; the full guard
@@ -197,8 +151,7 @@ fn run() -> Result<(), BenchError> {
                 std::process::exit(1);
             }
         }
-        ["--all", rest @ ..] => {
-            let dir = rest.first().copied().unwrap_or("traces");
+        Job::All(dir) => {
             error::create_dir_all(dir)?;
             let config_label =
                 format!("accesses={} cores={}", cfg.accesses_per_core, cfg.sim.cores);
@@ -254,18 +207,12 @@ fn run() -> Result<(), BenchError> {
             progress.worker_util(&stats);
             progress.campaign_end();
         }
-        ["--fault", class, bench, kind, rest @ ..] => {
-            let plan = FaultPlan::new(parse_fault(class), 3);
-            let out = run_cell(
-                parse_bench(bench),
-                parse_kind(kind),
-                &cfg,
-                TraceConfig::flight_recorder(),
-                Some(plan),
-                ras,
-            );
+        Job::Cell { bench, kind, fault: Some(class), out: path } => {
+            let plan = FaultPlan::new(class, 3);
+            let out =
+                run_cell(bench, kind, &cfg, TraceConfig::flight_recorder(), Some(plan), ras);
             print!("{}", out.report);
-            if let Some(path) = rest.first() {
+            if let Some(path) = path {
                 write_out(path, &out.json)?;
             }
             if out.dumps == 0 {
@@ -273,7 +220,7 @@ fn run() -> Result<(), BenchError> {
                 std::process::exit(1);
             }
         }
-        [bench, kind, rest @ ..] if !bench.starts_with('-') => {
+        Job::Cell { bench, kind, fault: None, out: path } => {
             let config_label =
                 format!("accesses={} cores={}", cfg.accesses_per_core, cfg.sim.cores);
             progress.campaign_start(
@@ -283,14 +230,7 @@ fn run() -> Result<(), BenchError> {
                 1,
             );
             let t = Instant::now();
-            let out = run_cell(
-                parse_bench(bench),
-                parse_kind(kind),
-                &cfg,
-                TraceConfig::full(),
-                None,
-                ras,
-            );
+            let out = run_cell(bench, kind, &cfg, TraceConfig::full(), None, ras);
             let wall = t.elapsed().as_secs_f64();
             let id = CellId {
                 bench: out.bench,
@@ -312,11 +252,10 @@ fn run() -> Result<(), BenchError> {
             progress.campaign_end();
             print!("{}", out.report);
             println!("events : {}", out.events);
-            if let Some(path) = rest.first() {
+            if let Some(path) = path {
                 write_out(path, &out.json)?;
             }
         }
-        _ => usage(),
     }
     Ok(())
 }

@@ -1,30 +1,34 @@
 //! Capture, inspect, and replay raw request traces.
 //!
 //! ```console
-//! $ trace-tool capture HPCG hpcg.trace.json          # record a trace
-//! $ trace-tool --quick capture HPCG hpcg.trace.json  # CI smoke budget
-//! $ trace-tool info hpcg.trace.json                  # summarize it
-//! $ trace-tool replay hpcg.trace.json pac            # evaluate a coalescer
-//! $ trace-tool replay hpcg.trace.json mshr-dmc
+//! $ trace_tool capture HPCG hpcg.trace.json          # record a trace
+//! $ trace_tool --quick capture HPCG hpcg.trace.json  # CI smoke budget
+//! $ trace_tool info hpcg.trace.json                  # summarize it
+//! $ trace_tool replay hpcg.trace.json pac            # evaluate a coalescer
+//! $ trace_tool replay hpcg.trace.json mshr-dmc
 //! ```
 //!
 //! Traces are JSON arrays of `TraceEntry` records, so they can also be
 //! produced by external tools (e.g. a real Spike run post-processed into
 //! this schema) and evaluated against this repository's coalescers.
+//!
+//! A usage error (an unknown flag, command, bench or coalescer, a wrong
+//! argument count, or a malformed `PAC_ACCESSES`) exits 2 before
+//! anything is read or written; an I/O error exits 1.
 
 use pac_bench::error::{self, BenchError};
 use pac_bench::Harness;
 use pac_sim::{replay, CoalescerKind, TraceEntry};
+use pac_types::cli::{self, Args, Flags};
 use pac_types::SimConfig;
 use pac_workloads::Bench;
 use std::path::PathBuf;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  trace-tool [--quick] capture <BENCH> <out.json>\n  trace-tool info <trace.json>\n  trace-tool replay <trace.json> <raw|mshr-dmc|pac>"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage:\n  trace_tool [--quick] capture <BENCH> <out.json>\n  \
+                     trace_tool info <trace.json>\n  \
+                     trace_tool replay <trace.json> <raw|mshr-dmc|pac>";
+
+const FLAGS: Flags = Flags { switches: &["--quick"], valued: &[], modes: &[] };
 
 fn load(path: &str) -> Result<Vec<TraceEntry>, BenchError> {
     let data = error::read_to_string(path)?;
@@ -33,35 +37,33 @@ fn load(path: &str) -> Result<Vec<TraceEntry>, BenchError> {
 }
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("{e}");
-        std::process::exit(if matches!(e, BenchError::Usage(_)) { 2 } else { 1 });
+    let args = FLAGS.from_env(USAGE);
+    match run(&args) {
+        Ok(()) => {}
+        Err(BenchError::Usage(e)) => cli::usage_exit(&e, USAGE),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
     }
 }
 
-fn run() -> Result<(), BenchError> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = {
-        let before = args.len();
-        args.retain(|a| a != "--quick");
-        args.len() != before
-    };
-    match args.as_slice() {
-        [cmd, bench, out] if cmd == "capture" => {
-            let Some(bench) = Bench::from_name(bench) else {
-                eprintln!(
-                    "unknown benchmark '{bench}'; known: {}",
-                    Bench::ALL.map(|b| b.name()).join(", ")
-                );
-                std::process::exit(2);
-            };
-            let mut h = Harness::from_env(quick)?;
+fn run(args: &Args) -> Result<(), BenchError> {
+    let commands = [("capture", 3), ("info", 2), ("replay", 3)];
+    let pos = args.positionals(1..=3)?;
+    let (cmd, count) = cli::lookup("command", &pos[0], commands, |(name, _)| name)?;
+    let pos = args.positionals(count..=count)?;
+    match cmd {
+        "capture" => {
+            let bench = cli::lookup("bench", &pos[1], Bench::ALL, Bench::name)?;
+            let mut h = Harness::from_env(args.has("--quick"))?;
             let trace = h.trace(bench).to_vec();
+            let out = &pos[2];
             error::write(out, pac_sim::trace_json::to_json(&trace))?;
             println!("captured {} requests from {} into {out}", trace.len(), bench.name());
         }
-        [cmd, path] if cmd == "info" => {
-            let trace = load(path)?;
+        "info" => {
+            let trace = load(&pos[1])?;
             let lines: std::collections::HashSet<u64> =
                 trace.iter().map(|e| e.addr & !63).collect();
             let pages: std::collections::HashSet<u64> =
@@ -75,17 +77,9 @@ fn run() -> Result<(), BenchError> {
             println!("store fraction  : {:.1}%", stores as f64 / trace.len().max(1) as f64 * 100.0);
             println!("cycle span      : {span}");
         }
-        [cmd, path, kind] if cmd == "replay" => {
-            let kind = match kind.as_str() {
-                "raw" => CoalescerKind::Raw,
-                "mshr-dmc" => CoalescerKind::MshrDmc,
-                "pac" => CoalescerKind::Pac,
-                other => {
-                    eprintln!("unknown coalescer '{other}' (raw | mshr-dmc | pac)");
-                    std::process::exit(2);
-                }
-            };
-            let trace = load(path)?;
+        _ => {
+            let kind = cli::lookup("coalescer", &pos[2], CoalescerKind::ALL, CoalescerKind::label)?;
+            let trace = load(&pos[1])?;
             let m = replay(&trace, kind, &SimConfig::default());
             println!("coalescer             : {}", m.coalescer);
             println!("raw requests          : {}", m.raw_requests);
@@ -96,7 +90,6 @@ fn run() -> Result<(), BenchError> {
             println!("avg memory latency    : {:.1} ns", m.avg_mem_latency_ns);
             println!("energy                : {:.1} nJ", m.energy.total_pj() / 1000.0);
         }
-        _ => usage(),
     }
     Ok(())
 }

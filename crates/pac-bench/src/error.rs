@@ -38,6 +38,13 @@ impl std::fmt::Display for BenchError {
     }
 }
 
+/// The `pac_types::cli` parsers report usage errors as plain messages.
+impl From<String> for BenchError {
+    fn from(msg: String) -> Self {
+        BenchError::Usage(msg)
+    }
+}
+
 impl std::error::Error for BenchError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

@@ -16,23 +16,11 @@ pub struct Harness {
     replays: HashMap<(Bench, CoalescerKind), RunMetrics>,
 }
 
-/// The full budget, or the quick one under `PAC_QUICK`.
-impl Default for Harness {
-    fn default() -> Self {
-        Self::with_accesses(if quick_mode() { QUICK_ACCESSES } else { FULL_ACCESSES })
-    }
-}
-
 /// Per-core access budget of a full run.
 pub const FULL_ACCESSES: u64 = 20_000;
 
-/// Per-core access budget under `--quick` / `PAC_QUICK=1`.
+/// Per-core access budget under `--quick`.
 pub const QUICK_ACCESSES: u64 = 1_500;
-
-/// True when `PAC_QUICK` requests the seconds-scale smoke configuration.
-pub fn quick_mode() -> bool {
-    std::env::var("PAC_QUICK").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-}
 
 impl Harness {
     pub fn new(cfg: ExperimentConfig) -> Self {
@@ -55,12 +43,12 @@ impl Harness {
     }
 
     /// The harness a binary runs: the full budget, or the quick one
-    /// under `quick` or `PAC_QUICK`, either overridden by
-    /// `PAC_ACCESSES`. A `PAC_ACCESSES` that is not a positive integer
-    /// is a usage error naming the variable.
+    /// under `quick`, either overridden by `PAC_ACCESSES`. A
+    /// `PAC_ACCESSES` that is not a positive integer is a usage error
+    /// naming the variable.
     pub fn from_env(quick: bool) -> Result<Self, BenchError> {
         let accesses = match std::env::var("PAC_ACCESSES") {
-            Err(std::env::VarError::NotPresent) if quick || quick_mode() => QUICK_ACCESSES,
+            Err(std::env::VarError::NotPresent) if quick => QUICK_ACCESSES,
             Err(std::env::VarError::NotPresent) => FULL_ACCESSES,
             Ok(v) => v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
                 BenchError::Usage(format!("PAC_ACCESSES must be a positive integer, got '{v}'"))

@@ -19,17 +19,3 @@ fn unknown_figure_id_is_rejected() {
     let mut h = Harness::quick();
     assert!(figures::run_figure("fig99", &mut h).is_none());
 }
-
-#[test]
-fn quick_env_var_shrinks_access_budget() {
-    // Process-global env mutation: this test binary runs these tests in
-    // one process, but the other tests never read PAC_QUICK after
-    // harness construction, and we restore the variable before exiting.
-    std::env::set_var("PAC_QUICK", "1");
-    assert!(pac_bench::harness::quick_mode());
-    let h = Harness::default();
-    assert_eq!(h.cfg.accesses_per_core, pac_bench::harness::QUICK_ACCESSES);
-    std::env::set_var("PAC_QUICK", "0");
-    assert!(!pac_bench::harness::quick_mode());
-    std::env::remove_var("PAC_QUICK");
-}

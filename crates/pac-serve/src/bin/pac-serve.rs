@@ -6,12 +6,15 @@
 //! pac-serve resume --state-dir <dir> [--progress <path|->]
 //!                  [--heartbeat-ms <N>] [--respawn-budget <N>]
 //! pac-serve verify --state-dir <dir>
-//! pac-serve chaos  --spec <file> --state-dir <dir> [--kills <N>]
-//!                  [--chaos-seed <S>]
+//! pac-serve chaos  --spec <file> --state-dir <dir> [--progress <path|->]
+//!                  [--kills <N>] [--chaos-seed <S>]
 //! ```
 //!
-//! Exit codes: 0 campaign complete, 3 partial (quarantined or
-//! undrained cells remain), 1 internal error, 2 usage error.
+//! Each subcommand accepts only the flags shown for it, as `--flag V`
+//! or `--flag=V`; counts and seeds take decimal or `0x` hex and are
+//! refused past their type. Exit codes: 0 campaign complete, 3 partial
+//! (quarantined or undrained cells remain), 1 internal error, 2 usage
+//! error (printed with the usage text, before anything runs).
 //!
 //! `run`/`resume` drain cleanly on SIGINT/SIGTERM: in-flight leases
 //! finish (or checkpoint at their quantum boundary), a final
@@ -23,50 +26,35 @@
 use pac_obs::ProgressSink;
 use pac_serve::scheduler::{self, SchedulerConfig};
 use pac_serve::{chaos, CampaignSpec};
+use pac_types::cli::{self, Flags};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pac-serve run    --spec <file> --state-dir <dir> [--progress <path|->]\n       \
-         [--heartbeat-ms <N>] [--respawn-budget <N>]\n       \
-         pac-serve resume --state-dir <dir> [same flags]\n       \
-         pac-serve verify --state-dir <dir>\n       \
-         pac-serve chaos  --spec <file> --state-dir <dir> [--kills <N>] [--chaos-seed <S>]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage:
+  pac-serve run    --spec <file> --state-dir <dir> [--progress <path|->]
+                   [--heartbeat-ms <N>] [--respawn-budget <N>]
+  pac-serve resume --state-dir <dir> [--progress <path|->]
+                   [--heartbeat-ms <N>] [--respawn-budget <N>]
+  pac-serve verify --state-dir <dir>
+  pac-serve chaos  --spec <file> --state-dir <dir> [--progress <path|->]
+                   [--kills <N>] [--chaos-seed <S>]";
 
-fn value(it: &mut std::vec::IntoIter<String>, flag: &str) -> String {
-    it.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        usage();
-    })
-}
+/// Each subcommand accepts only the flags it uses.
+const COMMANDS: [(&str, Flags); 4] = [
+    ("run", valued(&["--spec", "--state-dir", "--progress", "--heartbeat-ms", "--respawn-budget"])),
+    ("resume", valued(&["--state-dir", "--progress", "--heartbeat-ms", "--respawn-budget"])),
+    ("verify", valued(&["--state-dir"])),
+    ("chaos", valued(&["--spec", "--state-dir", "--progress", "--kills", "--chaos-seed"])),
+];
 
-fn parse_u64(s: &str, flag: &str) -> u64 {
-    let parsed = match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    };
-    parsed.unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse '{s}'");
-        usage();
-    })
-}
-
-/// A count flag: a value past u32 is a usage error, never a wrap.
-fn parse_u32(s: &str, flag: &str) -> u32 {
-    u32::try_from(parse_u64(s, flag)).unwrap_or_else(|_| {
-        eprintln!("{flag}: '{s}' is out of range (at most {})", u32::MAX);
-        usage();
-    })
+const fn valued(flags: &'static [&'static str]) -> Flags {
+    Flags { switches: &[], valued: flags, modes: &[] }
 }
 
 struct Opts {
-    cmd: String,
+    cmd: &'static str,
     spec: Option<PathBuf>,
-    state_dir: Option<PathBuf>,
+    state_dir: PathBuf,
     progress: Option<String>,
     heartbeat_ms: u64,
     respawn_budget: u32,
@@ -74,50 +62,25 @@ struct Opts {
     chaos_seed: u64,
 }
 
-fn parse_args() -> Opts {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let cmd = args.remove(0);
-    if !matches!(cmd.as_str(), "run" | "resume" | "verify" | "chaos") {
-        eprintln!("unknown command '{cmd}' (valid: run, resume, verify, chaos)");
-        usage();
-    }
-    let mut opts = Opts {
+fn parse_args() -> Result<Opts, String> {
+    let argv = cli::argv();
+    let (cmd, rest) = argv.split_first().ok_or("missing command")?;
+    let (cmd, flags) = cli::lookup("command", cmd, COMMANDS, |(name, _)| name)?;
+    let args = flags.parse(rest)?;
+    args.positionals(..=0)?;
+    let required =
+        |flag| args.value(flag).map(PathBuf::from).ok_or_else(|| format!("{cmd} needs {flag}"));
+    let spec = if matches!(cmd, "run" | "chaos") { Some(required("--spec")?) } else { None };
+    Ok(Opts {
         cmd,
-        spec: None,
-        state_dir: None,
-        progress: None,
-        heartbeat_ms: 30_000,
-        respawn_budget: 2,
-        kills: 3,
-        chaos_seed: 0xC4A05,
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spec" => opts.spec = Some(PathBuf::from(value(&mut it, "--spec"))),
-            "--state-dir" => opts.state_dir = Some(PathBuf::from(value(&mut it, "--state-dir"))),
-            "--progress" => opts.progress = Some(value(&mut it, "--progress")),
-            "--heartbeat-ms" => {
-                opts.heartbeat_ms = parse_u64(&value(&mut it, "--heartbeat-ms"), "--heartbeat-ms")
-            }
-            "--respawn-budget" => {
-                opts.respawn_budget =
-                    parse_u32(&value(&mut it, "--respawn-budget"), "--respawn-budget")
-            }
-            "--kills" => opts.kills = parse_u32(&value(&mut it, "--kills"), "--kills"),
-            "--chaos-seed" => {
-                opts.chaos_seed = parse_u64(&value(&mut it, "--chaos-seed"), "--chaos-seed")
-            }
-            other => {
-                eprintln!("unknown flag '{other}'");
-                usage();
-            }
-        }
-    }
-    opts
+        spec,
+        state_dir: required("--state-dir")?,
+        progress: args.value("--progress").map(String::from),
+        heartbeat_ms: args.int("--heartbeat-ms")?.unwrap_or(30_000),
+        respawn_budget: args.int("--respawn-budget")?.unwrap_or(2),
+        kills: args.int("--kills")?.unwrap_or(3),
+        chaos_seed: args.int("--chaos-seed")?.unwrap_or(0xC4A05),
+    })
 }
 
 fn fail(msg: &str) -> ! {
@@ -126,11 +89,7 @@ fn fail(msg: &str) -> ! {
 }
 
 fn scheduler_config(opts: &Opts, append_progress: bool) -> SchedulerConfig {
-    let Some(state_dir) = &opts.state_dir else {
-        eprintln!("--state-dir is required");
-        usage();
-    };
-    let mut cfg = SchedulerConfig::in_dir(state_dir);
+    let mut cfg = SchedulerConfig::in_dir(&opts.state_dir);
     cfg.heartbeat_timeout_ms = opts.heartbeat_ms;
     cfg.respawn_budget = opts.respawn_budget;
     if let Some(arg) = &opts.progress {
@@ -163,13 +122,10 @@ fn wire_signals(cfg: &SchedulerConfig) {
 }
 
 fn main() {
-    let opts = parse_args();
-    match opts.cmd.as_str() {
+    let opts = parse_args().unwrap_or_else(|e| cli::usage_exit(&e, USAGE));
+    match opts.cmd {
         "run" => {
-            let Some(spec_path) = &opts.spec else {
-                eprintln!("run needs --spec");
-                usage();
-            };
+            let spec_path = opts.spec.as_ref().expect("run requires --spec");
             let text = std::fs::read_to_string(spec_path)
                 .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", spec_path.display())));
             let spec = CampaignSpec::parse(&text)
@@ -228,14 +184,8 @@ fn main() {
             }
         }
         "chaos" => {
-            let Some(spec_path) = &opts.spec else {
-                eprintln!("chaos needs --spec");
-                usage();
-            };
-            let Some(state_dir) = &opts.state_dir else {
-                eprintln!("--state-dir is required");
-                usage();
-            };
+            let spec_path = opts.spec.as_ref().expect("chaos requires --spec");
+            let state_dir = &opts.state_dir;
             std::fs::create_dir_all(state_dir)
                 .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", state_dir.display())));
             let exe = std::env::current_exe()
@@ -253,6 +203,6 @@ fn main() {
                 std::process::exit(3);
             }
         }
-        _ => unreachable!("validated in parse_args"),
+        _ => unreachable!("COMMANDS names four subcommands"),
     }
 }

@@ -12,9 +12,10 @@
 
 use pac_sim::CoalescerKind;
 use pac_types::snapshot::fnv1a64;
-use pac_types::{derive_seed, BackendKind, FaultClass, RasClass};
+use pac_types::{cli, derive_seed, BackendKind, FaultClass, RasClass};
 use pac_workloads::Bench;
 use std::fmt::Write as _;
+use std::iter::once;
 
 /// One fully resolved campaign cell: everything a worker needs to run
 /// it, including the derived per-cell workload seed.
@@ -113,48 +114,15 @@ impl Default for CampaignSpec {
     }
 }
 
-fn parse_kind(s: &str) -> Result<CoalescerKind, String> {
-    CoalescerKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.label().eq_ignore_ascii_case(s))
-        .ok_or_else(|| {
-            let valid: Vec<&str> = CoalescerKind::ALL.iter().map(|k| k.label()).collect();
-            format!("unknown coalescer '{s}' (valid: {})", valid.join(", "))
-        })
-}
-
-fn parse_fault(s: &str) -> Result<Option<FaultClass>, String> {
-    if s.eq_ignore_ascii_case("none") {
-        return Ok(None);
-    }
-    FaultClass::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label().eq_ignore_ascii_case(s))
-        .map(Some)
-        .ok_or_else(|| {
-            let valid: Vec<&str> = FaultClass::ALL.iter().map(|c| c.label()).collect();
-            format!("unknown fault '{s}' (valid: none, {})", valid.join(", "))
-        })
-}
-
-fn parse_ras(s: &str) -> Result<Option<RasClass>, String> {
-    if s.eq_ignore_ascii_case("none") {
-        return Ok(None);
-    }
-    RasClass::from_name(s).map(Some).ok_or_else(|| {
-        let valid: Vec<&str> = RasClass::ALL.iter().map(|c| c.label()).collect();
-        format!("unknown ras class '{s}' (valid: none, {})", valid.join(", "))
-    })
-}
-
-fn parse_u64(key: &str, s: &str) -> Result<u64, String> {
-    let (digits, radix) = match s.strip_prefix("0x") {
-        Some(hex) => (hex, 16),
-        None => (s, 10),
-    };
-    u64::from_str_radix(digits, radix).map_err(|_| format!("{key}: '{s}' is not an integer"))
+/// The entries of a comma-separated axis, each found among `all` by
+/// its label.
+fn axis<T: Copy>(
+    what: &str,
+    value: &str,
+    all: impl IntoIterator<Item = T> + Clone,
+    label: impl Fn(T) -> &'static str,
+) -> Result<Vec<T>, String> {
+    value.split(',').map(|s| cli::lookup(what, s, all.clone(), &label)).collect()
 }
 
 impl CampaignSpec {
@@ -176,56 +144,34 @@ impl CampaignSpec {
                     .ok_or_else(|| format!("malformed token '{token}' (expected key=value)"))?;
                 match key {
                     "name" => spec.name = value.to_string(),
-                    "seed" => spec.seed = parse_u64(key, value)?,
-                    "cores" => spec.cores = parse_u64(key, value)? as u32,
-                    "accesses" => spec.accesses_per_core = parse_u64(key, value)?,
-                    "max_attempts" => spec.max_attempts = parse_u64(key, value)? as u32,
-                    "quantum" => spec.quantum_cycles = parse_u64(key, value)?,
-                    "threads" => spec.threads = parse_u64(key, value)? as usize,
+                    "seed" => spec.seed = cli::int(key, value)?,
+                    "cores" => spec.cores = cli::int(key, value)?,
+                    "accesses" => spec.accesses_per_core = cli::int(key, value)?,
+                    "max_attempts" => spec.max_attempts = cli::int(key, value)?,
+                    "quantum" => spec.quantum_cycles = cli::int(key, value)?,
+                    "threads" => spec.threads = cli::int(key, value)?,
                     "recovery" => {
-                        spec.recovery = match value {
-                            "on" => true,
-                            "off" => false,
-                            other => {
-                                return Err(format!("recovery: '{other}' (valid: on, off)"))
-                            }
-                        }
+                        spec.recovery =
+                            cli::lookup(key, value, [("on", true), ("off", false)], |(l, _)| l)?.1
                     }
                     "backends" => {
-                        spec.backends = value
-                            .split(',')
-                            .map(|s| {
-                                BackendKind::from_name(s).ok_or_else(|| {
-                                    let valid: Vec<&str> =
-                                        BackendKind::ALL.iter().map(|b| b.label()).collect();
-                                    format!("unknown backend '{s}' (valid: {})", valid.join(", "))
-                                })
-                            })
-                            .collect::<Result<_, _>>()?
+                        spec.backends =
+                            axis("backend", value, BackendKind::ALL, BackendKind::label)?
                     }
-                    "benches" => {
-                        spec.benches = value
-                            .split(',')
-                            .map(|s| {
-                                Bench::from_name(s).ok_or_else(|| {
-                                    let valid: Vec<&str> =
-                                        Bench::ALL.iter().map(|b| b.name()).collect();
-                                    format!("unknown bench '{s}' (valid: {})", valid.join(", "))
-                                })
-                            })
-                            .collect::<Result<_, _>>()?
-                    }
+                    "benches" => spec.benches = axis("bench", value, Bench::ALL, Bench::name)?,
                     "kinds" => {
                         spec.kinds =
-                            value.split(',').map(parse_kind).collect::<Result<_, _>>()?
+                            axis("coalescer", value, CoalescerKind::ALL, CoalescerKind::label)?
                     }
                     "faults" => {
-                        spec.faults =
-                            value.split(',').map(parse_fault).collect::<Result<_, _>>()?
+                        let all = once(None).chain(FaultClass::ALL.map(Some));
+                        let label = |f: Option<_>| f.map_or("none", FaultClass::label);
+                        spec.faults = axis("fault", value, all, label)?
                     }
                     "ras" => {
-                        spec.ras =
-                            value.split(',').map(parse_ras).collect::<Result<_, _>>()?
+                        let all = once(None).chain(RasClass::ALL.map(Some));
+                        let label = |r: Option<_>| r.map_or("none", RasClass::label);
+                        spec.ras = axis("ras class", value, all, label)?
                     }
                     other => return Err(format!("unknown spec key '{other}'")),
                 }
@@ -378,6 +324,20 @@ mod tests {
             let err = CampaignSpec::parse(text).unwrap_err();
             assert!(err.contains(needle), "{text}: {err}");
         }
+    }
+
+    #[test]
+    fn integers_past_their_field_are_refused() {
+        for (text, needle) in [
+            ("cores=4294967298", "cores: '4294967298' is out of range (at most 4294967295)"),
+            ("max_attempts=4294967297", "max_attempts: '4294967297' is out of range"),
+            ("seed=0x10000000000000000", "seed: '0x10000000000000000' is out of range"),
+        ] {
+            let err = CampaignSpec::parse(text).unwrap_err();
+            assert!(err.contains(needle), "{text}: {err}");
+        }
+        let spec = CampaignSpec::parse("cores=4294967295 max_attempts=0xffffffff").unwrap();
+        assert_eq!((spec.cores, spec.max_attempts), (u32::MAX, u32::MAX));
     }
 
     #[test]

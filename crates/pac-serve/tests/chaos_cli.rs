@@ -248,14 +248,55 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2), "unknown subcommand must exit 2");
 
     // A count past u32 must not wrap: 2^32 kills would run as zero and
-    // pass without a single kill.
+    // pass without a single kill. Each flag is checked on the subcommand
+    // where it takes effect.
     let sb = Sandbox::new("range", SPEC);
     let (spec, state) = (path_str(&sb.spec()), path_str(&sb.state()));
-    for flag in ["--kills", "--respawn-budget"] {
-        let out = run(&["chaos", "--spec", &spec, "--state-dir", &state, flag, "4294967296"]);
+    for (cmd, flag) in [("chaos", "--kills"), ("run", "--respawn-budget")] {
+        let out = run(&[cmd, "--spec", &spec, "--state-dir", &state, flag, "4294967296"]);
         let stderr = stderr_of(&out);
         assert_eq!(out.status.code(), Some(2), "{flag} out of range must exit 2: {stderr}");
         assert!(stderr.contains(&format!("{flag}: '4294967296'")), "{stderr}");
         assert!(!sb.state().exists(), "{flag}: nothing may run before the usage error");
     }
+
+    // Each subcommand accepts only its own flags: one it would ignore
+    // is refused, in either spelling, before anything runs.
+    let missing = path_str(&sb.dir.join("missing.spec"));
+    for (args, token) in [
+        (vec!["run", "--spec", &spec, "--state-dir", &state, "--chaos-seed", "7"], "--chaos-seed"),
+        (vec!["run", "--spec", &spec, "--state-dir", &state, "--kills", "9"], "--kills"),
+        (vec!["resume", "--state-dir", &state, "--spec", &missing], "--spec"),
+        (vec!["verify", "--state-dir", &state, "--progress", "-"], "--progress"),
+        (
+            vec!["chaos", "--spec", &spec, "--state-dir", &state, "--heartbeat-ms", "5"],
+            "--heartbeat-ms",
+        ),
+        (
+            vec!["chaos", "--spec", &spec, "--state-dir", &state, "--respawn-budget=1"],
+            "--respawn-budget=1",
+        ),
+        (vec!["run", "--spec", &spec, "--state-dir", &state, "stray"], "stray"),
+    ] {
+        let out = run(&args);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("'{token}'")), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: {}", stdout_of(&out));
+        assert!(!sb.state().exists(), "{args:?}: nothing may run before the usage error");
+    }
+}
+
+/// `--flag=V` is `--flag V`: a one-cell campaign run with both valued
+/// scheduler knobs in the `=` spelling completes.
+#[test]
+fn equals_spelling_runs_a_campaign() {
+    let sb = Sandbox::new("equals", "name=eq\nbenches=ep\naccesses=200\ncores=2\nthreads=1\n");
+    let spec = format!("--spec={}", path_str(&sb.spec()));
+    let state = format!("--state-dir={}", path_str(&sb.state()));
+    let out = run(&["run", &spec, &state, "--heartbeat-ms=30000", "--respawn-budget=2"]);
+    let text = stdout_of(&out);
+    assert!(out.status.success(), "{text}{}", stderr_of(&out));
+    assert!(text.contains("cells done        : 1/1"), "{text}");
 }

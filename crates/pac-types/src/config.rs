@@ -183,12 +183,6 @@ impl BackendKind {
             BackendKind::Hbm => "hbm",
         }
     }
-
-    /// Parse a CLI `--backend` value. Accepts the labels of
-    /// [`BackendKind::ALL`], case-insensitively.
-    pub fn from_name(name: &str) -> Option<BackendKind> {
-        BackendKind::ALL.iter().copied().find(|k| k.label().eq_ignore_ascii_case(name))
-    }
 }
 
 /// How the HBM backend spreads consecutive rows across channels.
@@ -829,11 +823,12 @@ mod tests {
 
     #[test]
     fn backend_kind_labels_parse() {
+        let parse = |s| crate::cli::lookup("backend", s, BackendKind::ALL, BackendKind::label);
         for k in BackendKind::ALL {
-            assert_eq!(BackendKind::from_name(k.label()), Some(k));
+            assert_eq!(parse(k.label()), Ok(k));
         }
-        assert_eq!(BackendKind::from_name("HBM"), Some(BackendKind::Hbm));
-        assert_eq!(BackendKind::from_name("ddr4"), None);
+        assert_eq!(parse("HBM"), Ok(BackendKind::Hbm));
+        assert_eq!(parse("ddr4").unwrap_err(), "unknown backend 'ddr4' (valid: hmc, hbm)");
     }
 
     #[test]

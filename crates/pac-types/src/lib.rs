@@ -9,6 +9,7 @@
 //! carries; all address math is branch-free bit manipulation.
 
 pub mod addr;
+pub mod cli;
 pub mod config;
 pub mod fault;
 pub mod hash;

@@ -16,6 +16,7 @@
 //! `(seed, packet id)` — no global RNG, no wall clock — so a degraded
 //! run is exactly reproducible and checkpointable mid-retransmission.
 
+use crate::cli;
 use crate::config::BackendKind;
 use crate::Cycle;
 use std::fmt;
@@ -76,11 +77,6 @@ impl RasClass {
             RasClass::EccDouble => "ecc-double",
             RasClass::Scrub => "scrub",
         }
-    }
-
-    /// Parse a label back into a class (case-insensitive).
-    pub fn from_name(s: &str) -> Option<RasClass> {
-        RasClass::ALL.iter().copied().find(|c| c.label().eq_ignore_ascii_case(s))
     }
 
     /// The memory substrate that models this class: link classes live
@@ -164,7 +160,8 @@ pub enum RasPlanError {
     /// Degradation thresholds are ordered: retire must not come before
     /// the half-width down-shift.
     ThresholdOrder { storm: u32, retire: u32 },
-    /// CLI parse: the class name is not one of [`RasClass::ALL`].
+    /// CLI parse: the class name is not one of [`RasClass::ALL`] (the
+    /// message lists them).
     UnknownClass(String),
     /// CLI parse: a `key=value` field key is not recognised.
     UnknownField(String),
@@ -221,10 +218,7 @@ impl fmt::Display for RasPlanError {
                 "ras plan rejected: retire_threshold {retire} must be at least \
                  storm_threshold {storm} (half-width precedes retirement)"
             ),
-            RasPlanError::UnknownClass(s) => {
-                let valid: Vec<&str> = RasClass::ALL.iter().map(|c| c.label()).collect();
-                write!(f, "unknown ras class '{s}' (valid: {})", valid.join(", "))
-            }
+            RasPlanError::UnknownClass(msg) => write!(f, "{msg}"),
             RasPlanError::UnknownField(s) => {
                 write!(f, "unknown ras field '{s}' (valid: {})", RAS_PLAN_FIELDS.join(", "))
             }
@@ -276,8 +270,8 @@ impl RasPlan {
             Some((c, r)) => (c, Some(r)),
             None => (spec, None),
         };
-        let class = RasClass::from_name(class_str)
-            .ok_or_else(|| RasPlanError::UnknownClass(class_str.to_string()))?;
+        let class = cli::lookup("ras class", class_str, RasClass::ALL, RasClass::label)
+            .map_err(RasPlanError::UnknownClass)?;
         let mut plan = RasPlan::new(class, 0x9AC_5EED);
         let Some(rest) = rest else { return plan.validate() };
         for token in rest.split(',').filter(|t| !t.is_empty()) {
@@ -288,26 +282,20 @@ impl RasPlan {
                 field: key.to_string(),
                 value: value.to_string(),
             };
-            let num = || -> Result<u64, RasPlanError> {
-                let (digits, radix) = match value.strip_prefix("0x") {
-                    Some(hex) => (hex, 16),
-                    None => (value, 10),
-                };
-                u64::from_str_radix(digits, radix).map_err(|_| bad())
-            };
+            let not_int = |_: String| bad();
             match key {
-                "seed" => plan.seed = num()?,
-                "rate" => plan.rate_per_1024 = num()? as u32,
-                "max" => plan.max_events = num()?,
-                "retry-latency" => plan.retry_latency = num()?,
-                "storm" => plan.storm_threshold = num()? as u32,
-                "retire" => plan.retire_threshold = num()? as u32,
-                "tokens" => plan.token_limit = num()? as u32,
-                "token-return" => plan.token_return = num()?,
-                "ecc-latency" => plan.ecc_latency = num()?,
-                "scrub-interval" => plan.scrub_interval = num()?,
-                "scrub-duration" => plan.scrub_duration = num()?,
-                "spare" => plan.spare_threshold = num()? as u32,
+                "seed" => plan.seed = cli::int(key, value).map_err(not_int)?,
+                "rate" => plan.rate_per_1024 = cli::int(key, value).map_err(not_int)?,
+                "max" => plan.max_events = cli::int(key, value).map_err(not_int)?,
+                "retry-latency" => plan.retry_latency = cli::int(key, value).map_err(not_int)?,
+                "storm" => plan.storm_threshold = cli::int(key, value).map_err(not_int)?,
+                "retire" => plan.retire_threshold = cli::int(key, value).map_err(not_int)?,
+                "tokens" => plan.token_limit = cli::int(key, value).map_err(not_int)?,
+                "token-return" => plan.token_return = cli::int(key, value).map_err(not_int)?,
+                "ecc-latency" => plan.ecc_latency = cli::int(key, value).map_err(not_int)?,
+                "scrub-interval" => plan.scrub_interval = cli::int(key, value).map_err(not_int)?,
+                "scrub-duration" => plan.scrub_duration = cli::int(key, value).map_err(not_int)?,
+                "spare" => plan.spare_threshold = cli::int(key, value).map_err(not_int)?,
                 "preset" => {
                     plan.preset_degraded = match value {
                         "1" | "true" | "on" => true,
@@ -566,6 +554,9 @@ mod tests {
         assert!(err.to_string().contains("valid: seed, rate"), "{err}");
         let err = RasPlan::parse("scrub:seed=zzz").unwrap_err();
         assert!(err.to_string().contains("not a valid value"), "{err}");
+        // 2^32 + 32 would wrap to a valid rate of 32.
+        let err = RasPlan::parse("link-bit-error:rate=4294967328").unwrap_err();
+        assert!(matches!(err, RasPlanError::BadValue { .. }), "{err}");
         let err = RasPlan::parse("scrub:standalone").unwrap_err();
         assert!(matches!(err, RasPlanError::UnknownField(_)), "{err}");
     }

@@ -172,11 +172,6 @@ impl Bench {
         }
     }
 
-    /// Parse a display name (case-insensitive).
-    pub fn from_name(s: &str) -> Option<Bench> {
-        Bench::ALL.iter().copied().find(|b| b.name().eq_ignore_ascii_case(s))
-    }
-
     /// CPU cycles of non-memory work separating consecutive accesses —
     /// the arithmetic, address generation, and control flow of the
     /// benchmark's inner loop. These are calibrated so that memory
@@ -240,11 +235,12 @@ mod tests {
     fn all_names_unique_and_parseable() {
         let names: HashSet<_> = Bench::ALL.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), 14);
+        let parse = |s: &str| pac_types::cli::lookup("bench", s, Bench::ALL, Bench::name);
         for b in Bench::ALL {
-            assert_eq!(Bench::from_name(b.name()), Some(b));
-            assert_eq!(Bench::from_name(&b.name().to_lowercase()), Some(b));
+            assert_eq!(parse(b.name()), Ok(b));
+            assert_eq!(parse(&b.name().to_lowercase()), Ok(b));
         }
-        assert_eq!(Bench::from_name("nope"), None);
+        assert!(parse("nope").unwrap_err().starts_with("unknown bench 'nope' (valid: BFS, "));
     }
 
     #[test]
