@@ -240,3 +240,24 @@ fn report_reads_a_stream_from_stdin() {
     assert!(json.contains("\"EP\""), "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_closed_stdout_ends_a_binary_quietly() {
+    // `figures --quick table1 | head -0`: the reader is gone before the
+    // first write. SIGPIPE ends the process; nothing reaches stderr.
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--quick", "table1"])
+        .env_remove("PAC_ACCESSES")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn figures");
+    assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+    #[cfg(unix)]
+    {
+        use std::os::unix::process::ExitStatusExt as _;
+        assert_eq!(out.status.signal(), Some(13), "ended by SIGPIPE: {:?}", out.status);
+    }
+}

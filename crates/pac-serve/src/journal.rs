@@ -300,6 +300,14 @@ impl Record {
         let field = |name: &str| {
             j.get(name).and_then(Json::as_u64).ok_or_else(|| format!("{ev}: bad field '{name}'"))
         };
+        // Attempt counts are u32 in memory: a wider value is refused,
+        // never wrapped.
+        let count = |name: &str| {
+            let v = field(name)?;
+            u32::try_from(v).map_err(|_| {
+                format!("{ev}: field '{name}' is out of range: {v} (at most {})", u32::MAX)
+            })
+        };
         let text = |name: &str| {
             j.get(name)
                 .and_then(Json::as_str)
@@ -320,30 +328,30 @@ impl Record {
             },
             "lease" => Record::Lease {
                 cell: field("cell")?,
-                attempt: field("attempt")? as u32,
+                attempt: count("attempt")?,
                 worker: field("worker")?,
                 lease: field("lease")?,
             },
             "ckpt" => Record::Ckpt {
                 cell: field("cell")?,
-                attempt: field("attempt")? as u32,
+                attempt: count("attempt")?,
                 cycle: field("cycle")?,
                 path: text("path")?,
             },
             "done" => Record::Done {
                 cell: field("cell")?,
-                attempt: field("attempt")? as u32,
+                attempt: count("attempt")?,
                 wall_ms: field("wall_ms")?,
                 fp: CellFingerprint::from_json(&j).ok_or("done: bad fingerprint")?,
             },
             "fail" => Record::Fail {
                 cell: field("cell")?,
-                attempt: field("attempt")? as u32,
+                attempt: count("attempt")?,
                 reason: text("reason")?,
             },
             "quarantine" => Record::Quarantine {
                 cell: field("cell")?,
-                attempts: field("attempts")? as u32,
+                attempts: count("attempts")?,
                 reason: text("reason")?,
             },
             "drain" => Record::Drain { reason: text("reason")?, done: field("done")? },
@@ -757,6 +765,36 @@ mod tests {
         for r in &records {
             let line = r.to_line();
             assert_eq!(&Record::parse_line(&line).unwrap(), r, "{line}");
+        }
+    }
+
+    #[test]
+    fn attempt_counts_past_u32_are_refused() {
+        let framed = |payload: &str| {
+            format!("{{\"v\":1,\"ck\":\"{:016x}\",{payload}}}", fnv1a64(payload.as_bytes()))
+        };
+        let lease = |attempt: u64| {
+            framed(&format!(
+                "\"ev\":\"lease\",\"cell\":0,\"attempt\":{attempt},\"worker\":1,\"lease\":2"
+            ))
+        };
+        let quarantine = |attempts: u64| {
+            framed(&format!(
+                "\"ev\":\"quarantine\",\"cell\":0,\"attempts\":{attempts},\"reason\":\"r\""
+            ))
+        };
+        let max = u32::MAX as u64;
+        assert_eq!(
+            Record::parse_line(&lease(max)).unwrap(),
+            Record::Lease { cell: 0, attempt: u32::MAX, worker: 1, lease: 2 }
+        );
+        assert_eq!(
+            Record::parse_line(&quarantine(max)).unwrap(),
+            Record::Quarantine { cell: 0, attempts: u32::MAX, reason: "r".into() }
+        );
+        for (line, name) in [(lease(max + 2), "'attempt'"), (quarantine(max + 2), "'attempts'")] {
+            let err = Record::parse_line(&line).unwrap_err();
+            assert!(err.contains(name) && err.contains("out of range"), "{err}");
         }
     }
 

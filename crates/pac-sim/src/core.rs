@@ -8,6 +8,7 @@
 //! which memory latency, and therefore coalescing quality, determines
 //! runtime.
 
+use crate::system::RefusalMemo;
 use pac_types::{Cycle, MemRequest};
 use pac_workloads::multiproc::CoreSpec;
 use pac_workloads::{Access, AccessStream};
@@ -48,10 +49,8 @@ pub struct CoreState {
     max_outstanding: usize,
     /// A raw request refused by the coalescer, to retry.
     pub retry: Option<PendingPush>,
-    /// The coalescer's admission epoch when `retry` was last refused
-    /// (the refusal memo). A cache, left out of checkpoints: it starts
-    /// empty after a restore, so the first retry is a real offer.
-    pub(crate) refused_at: Option<u64>,
+    /// The refusal memo of this core's requests.
+    pub(crate) memo: RefusalMemo,
     /// Position within the current access burst.
     burst_pos: u64,
     pub stats: CoreStats,
@@ -77,7 +76,7 @@ impl CoreState {
             outstanding: 0,
             max_outstanding,
             retry: None,
-            refused_at: None,
+            memo: RefusalMemo::default(),
             burst_pos: 0,
             stats: CoreStats::default(),
         }
@@ -134,11 +133,9 @@ impl CoreState {
         self.ready_at = now + latency.max(1) + pause;
     }
 
-    /// Record a push refused at admission epoch `epoch`: the prepared
-    /// request retries next cycle.
-    pub fn refuse(&mut self, now: Cycle, pending: PendingPush, epoch: u64) {
+    /// Record a refused push: the prepared request retries next cycle.
+    pub fn refuse(&mut self, now: Cycle, pending: PendingPush) {
         self.retry = Some(pending);
-        self.refused_at = Some(epoch);
         self.ready_at = now + 1;
     }
 }
@@ -223,7 +220,7 @@ impl CoreState {
             outstanding,
             max_outstanding,
             retry,
-            refused_at: None,
+            memo: RefusalMemo::default(),
             burst_pos,
             stats,
         })
@@ -289,7 +286,7 @@ mod tests {
             req: MemRequest::miss(1, 0x40, pac_types::Op::Load, 0, 0),
             is_fill: true,
         };
-        c.refuse(0, pending, 0);
+        c.refuse(0, pending);
         assert!(!c.finished());
         assert!(!c.can_issue(0), "blocked in the refusal cycle");
         assert!(c.can_issue(1));

@@ -10,6 +10,10 @@
 //! evaluation: the stock controller, the conventional MSHR-based DMC,
 //! and PAC.
 //!
+//! One run loop serves every experiment: [`system::System`] drives a
+//! front end — the execution-driven cores of [`SimSystem`], or the
+//! captured-trace feed of [`replay()`] — over one shared memory side.
+//!
 //! [`experiment`] offers one-call experiment execution (optionally in
 //! parallel across benchmarks) returning the [`metrics::RunMetrics`]
 //! every figure is derived from.

@@ -1,6 +1,5 @@
 //! Per-run metrics — the raw material for every figure in the paper.
 
-use crate::system::SimSystem;
 use hmc_sim::{EnergyBreakdown, EnergyClass};
 use pac_types::cycles_to_ns;
 
@@ -110,21 +109,6 @@ impl RunMetrics {
             mshr_merges: cs.mshr_merges,
             stall_cycles: cs.stall_cycles,
         }
-    }
-
-    pub(crate) fn collect(sys: &SimSystem) -> RunMetrics {
-        let mut m = RunMetrics::from_parts(
-            sys.kind().label(),
-            sys.now(),
-            sys.coalescer_stats(),
-            sys.hmc_stats(),
-            sys.hmc_energy().clone(),
-            sys.bank_conflicts(),
-        );
-        m.l1_hit_rate = sys.hierarchy().l1_hit_rate();
-        m.l2_hit_rate = sys.hierarchy().l2_hit_rate();
-        m.prefetches = sys.prefetches_issued();
-        m
     }
 
     /// Runtime speedup of `self` relative to `baseline` (>0 = faster).

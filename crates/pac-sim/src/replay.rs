@@ -17,31 +17,18 @@
 //! must hold on each backend, and the completed sets must be identical
 //! even though every cycle number differs.
 //!
-//! Replay advances the clock like [`crate::SimSystem`], with the same
-//! two rules. Under [`Stepping::SkipAhead`], the default, it jumps from
-//! each settled cycle to the earliest of three events: the trace head's
-//! due cycle, the coalescer's `next_event`, and the first backend event
-//! that [`pac_mem::MemoryBackend::fast_forward`] leaves unticked — the
-//! backend is ticked alone through its issues and data-ready hand-offs
-//! until a response becomes poppable. A due head that `would_accept`
-//! refuses opens a blocked window. The every-cycle loop would re-offer
-//! that head once per cycle until the next coalescer or backend event,
-//! be refused each time, and stretch the schedule by one cycle each
-//! time. The jump charges those refusals in bulk with
-//! `note_refused_retries` and adds the window to the skew. Neither the
-//! due window nor the backlog hint can change inside a blocked window:
-//! `now` and the skew advance together, and only an accepted push reads
-//! the hint. The refusal is remembered with the coalescer's admission
-//! epoch, so while the epoch stands the head is charged instead of
-//! offered again. `PAC_STEPPING=every` selects the every-cycle
-//! reference ([`Stepping::from_env`]), which offers literally and
-//! produces identical [`RunMetrics`].
+//! Replay is the second front end of [`crate::system::System`]: the
+//! trace feed offers entries to the memory side and run loop that
+//! [`crate::SimSystem`] uses, skip rule and refusal memo included
+//! (DESIGN.md "Simulation core performance"). It keeps only its own
+//! admission: an entry is due at its recorded cycle plus the skew, and
+//! each refusal stretches the rest of the schedule by one cycle.
 
 use crate::metrics::RunMetrics;
-use crate::system::{CoalescerKind, Stepping, TraceEntry};
-use hmc_sim::{HmcRequest, HmcResponse};
-use pac_core::{DispatchedRequest, MemoryCoalescer};
-use pac_types::{Cycle, MemRequest, SimConfig};
+use crate::system::{
+    CoalescerKind, FrontEnd, MemorySide, RefusalMemo, RunProgress, Stepping, System, TraceEntry,
+};
+use pac_types::{Cycle, MemRequest, RequestKind, SimConfig};
 
 /// Replay `trace` through the chosen coalescer and the configured
 /// memory backend, stepping as [`Stepping::from_env`] selects.
@@ -58,7 +45,7 @@ pub fn replay_with(
     trace_occupancy: bool,
     stepping: Stepping,
 ) -> RunMetrics {
-    replay_core(trace, kind, cfg, trace_occupancy, stepping, None)
+    drain(replay_system(trace, kind, cfg, trace_occupancy, stepping, false)).0
 }
 
 /// As [`replay`], additionally returning every raw id the coalescer
@@ -72,175 +59,133 @@ pub fn replay_served(
     kind: CoalescerKind,
     cfg: &SimConfig,
 ) -> (RunMetrics, Vec<u64>) {
-    let mut served = Vec::new();
-    let m = replay_core(trace, kind, cfg, false, Stepping::from_env(), Some(&mut served));
-    (m, served)
+    drain(replay_system(trace, kind, cfg, false, Stepping::from_env(), true))
 }
 
-/// The raw request the loop offers for trace entry `t` at cycle `now`.
-fn offer(t: &TraceEntry, id: u64, now: Cycle) -> MemRequest {
-    let mut req = MemRequest::miss(id, t.addr, t.op, t.core, now);
-    req.kind = t.kind;
-    req.data_bytes = t.data_bytes;
-    req
+/// The trace front end: the trace head, its due window and skew, the
+/// next raw id, and the requests in flight.
+struct TraceFeed<'t> {
+    trace: &'t [TraceEntry],
+    /// Index of the next entry to admit.
+    head: usize,
+    /// End of the due window: the entries due by the next cycle. It
+    /// only advances, so the backlog hint costs O(1) amortized.
+    due_end: usize,
+    /// Offset accumulated whenever backpressure stretches the schedule.
+    skew: Cycle,
+    /// The raw id the head is offered under; ids advance only on
+    /// admission.
+    next_id: u64,
+    /// Admitted requests (fences aside) not yet completed.
+    inflight: u64,
+    /// Refusal memo of the head.
+    memo: RefusalMemo,
+    /// Every completed raw id, in completion order, when kept.
+    served: Option<Vec<u64>>,
 }
 
-/// Whether the head offered under raw id `id` stands refused at the
-/// coalescer's current admission epoch (the refusal memo `memo`).
-fn still_refused(coalescer: &dyn MemoryCoalescer, memo: Option<(u64, u64)>, id: u64) -> bool {
-    memo == Some((id, coalescer.admission_epoch()))
+impl TraceFeed<'_> {
+    /// The due head, as the raw request offered at `now`.
+    fn due_head(&self, now: Cycle) -> Option<MemRequest> {
+        let t = self.trace.get(self.head).filter(|t| t.cycle + self.skew <= now)?;
+        let mut req = MemRequest::miss(self.next_id, t.addr, t.op, t.core, now);
+        req.kind = t.kind;
+        req.data_bytes = t.data_bytes;
+        Some(req)
+    }
 }
 
-fn replay_core(
-    trace: &[TraceEntry],
+impl FrontEnd for TraceFeed<'_> {
+    fn issue(&mut self, mem: &mut MemorySide) {
+        let now = mem.now();
+        let trace = self.trace;
+        while self.due_end < trace.len() && trace[self.due_end].cycle + self.skew <= now + 1 {
+            self.due_end += 1;
+        }
+        mem.hint_pending(self.due_end.saturating_sub(self.head + 1));
+        while let Some(req) = self.due_head(now) {
+            if !mem.offer(req, &mut self.memo) {
+                // Backpressure: shift the remaining schedule.
+                self.skew += 1;
+                break;
+            }
+            self.next_id += 1;
+            if req.kind != RequestKind::Fence {
+                self.inflight += 1;
+            }
+            self.head += 1;
+        }
+    }
+
+    fn complete(&mut self, raw: u64, _now: Cycle) {
+        self.inflight -= 1;
+        if let Some(served) = &mut self.served {
+            served.push(raw);
+        }
+    }
+
+    /// The head's due cycle, or — once it is due — now, unless the
+    /// coalescer stands refusing it.
+    fn next_wake(&mut self, mem: &MemorySide, blocked: &mut Vec<MemRequest>) -> Option<Cycle> {
+        let now = mem.now();
+        let t = self.trace.get(self.head)?;
+        let Some(req) = self.due_head(now) else { return Some(t.cycle + self.skew) };
+        if !mem.stays_refused(&req, &mut self.memo) {
+            return Some(now);
+        }
+        blocked.push(req);
+        None
+    }
+
+    /// A due head was refused once per jumped cycle, and each refusal
+    /// stretched the schedule by one.
+    fn jumped(&mut self, from: Cycle, to: Cycle) {
+        if self.due_head(from).is_some() {
+            self.skew += to - from;
+        }
+    }
+
+    fn exhausted(&self) -> bool {
+        self.head >= self.trace.len()
+    }
+
+    fn done(&self) -> bool {
+        self.exhausted() && self.inflight == 0
+    }
+}
+
+/// A system whose front end feeds `trace`, with a convergence bound of
+/// 200 cycles per trace cycle (at least ten million).
+fn replay_system<'t>(
+    trace: &'t [TraceEntry],
     kind: CoalescerKind,
     cfg: &SimConfig,
     trace_occupancy: bool,
     stepping: Stepping,
-    mut served: Option<&mut Vec<u64>>,
-) -> RunMetrics {
-    assert!(
-        cfg.coalescer.protocol.max_request_bytes() <= cfg.active_row_bytes(),
-        "coalescer protocol allows {}B requests but device rows are {}B",
-        cfg.coalescer.protocol.max_request_bytes(),
-        cfg.active_row_bytes()
-    );
-    let mut coalescer = kind.build(cfg, trace_occupancy);
-    let mut mem = pac_mem::build_backend(cfg);
+    keep_served: bool,
+) -> System<TraceFeed<'t>> {
+    let limit =
+        (trace.last().map_or(0, |t| t.cycle) + 1).saturating_mul(200).max(10_000_000);
+    let feed = TraceFeed {
+        trace,
+        head: 0,
+        due_end: 0,
+        skew: 0,
+        next_id: 0,
+        inflight: 0,
+        memo: RefusalMemo::default(),
+        served: keep_served.then(Vec::new),
+    };
+    System::assemble(feed, MemorySide::new(*cfg, kind, trace_occupancy, stepping, limit))
+}
 
-    let mut now: Cycle = 0;
-    // Offset accumulated whenever backpressure stretches the schedule.
-    let mut skew: Cycle = 0;
-    let mut i = 0usize;
-    let mut due_end = 0usize;
-    let mut next_id: u64 = 0;
-    let mut dispatches: Vec<DispatchedRequest> = Vec::new();
-    let mut responses: Vec<HmcResponse> = Vec::new();
-    let mut satisfied: Vec<u64> = Vec::new();
-    let mut inflight: u64 = 0;
-    // Refusal memo for the trace head: the raw id it is offered under
-    // (ids advance only on admission) and the admission epoch it was
-    // refused at.
-    let mut head_refused: Option<(u64, u64)> = None;
-    let limit = (trace.last().map(|t| t.cycle).unwrap_or(0) + 1)
-        .saturating_mul(200)
-        .max(10_000_000);
-
-    while i < trace.len() || !coalescer.is_drained() || !mem.is_idle() || inflight > 0 {
-        if stepping == Stepping::SkipAhead {
-            // Between iterations every component is settled (ticked, and
-            // flushed once the trace is exhausted): jump to the earliest
-            // cycle on which the every-cycle loop would do more than tick
-            // the device alone and re-offer a refused head. Landing no
-            // later than `limit - 1` trips the convergence assert below
-            // at the cycle the every-cycle loop trips it.
-            let mut wake = limit - 1;
-            let mut blocked = None;
-            if let Some(t) = trace.get(i) {
-                let due = t.cycle + skew;
-                if due > now {
-                    wake = wake.min(due);
-                } else {
-                    let req = offer(t, next_id, now);
-                    if still_refused(&*coalescer, head_refused, next_id)
-                        || !coalescer.would_accept(&req)
-                    {
-                        head_refused = Some((next_id, coalescer.admission_epoch()));
-                        blocked = Some(req);
-                    } else {
-                        wake = now;
-                    }
-                }
-            }
-            if let Some(c) = coalescer.next_event(now) {
-                wake = wake.min(c);
-            }
-            if wake > now {
-                if let Some(c) = mem.fast_forward(now, wake) {
-                    wake = wake.min(c);
-                }
-            }
-            if wake > now {
-                if let Some(req) = blocked {
-                    // One refused offer per jumped cycle, each of which
-                    // stretches the schedule by one.
-                    coalescer.note_refused_retries(&req, now, wake - now);
-                    skew += wake - now;
-                }
-                now = wake;
-            }
-        }
-
-        // Offer every trace entry scheduled by now. The due-window end
-        // advances monotonically, so the backlog hint is computed
-        // incrementally (O(1) amortized, not O(backlog) per cycle).
-        // Include next-cycle arrivals: a burst spanning two cycles must
-        // keep the controller's bypass disengaged for its whole length.
-        while due_end < trace.len() && trace[due_end].cycle + skew <= now + 1 {
-            due_end += 1;
-        }
-        coalescer.hint_pending(due_end.saturating_sub(i + 1));
-        while i < trace.len() && trace[i].cycle + skew <= now {
-            let req = offer(&trace[i], next_id, now);
-            // Refused at this epoch already: charge the offer. The
-            // every-cycle reference offers literally.
-            let memo_hit = stepping == Stepping::SkipAhead
-                && still_refused(&*coalescer, head_refused, next_id);
-            if memo_hit {
-                debug_assert!(
-                    !coalescer.would_accept(&req),
-                    "refusal memo hit on an acceptable head"
-                );
-                coalescer.note_refused_retries(&req, now, 1);
-                skew += 1;
-                break;
-            }
-            if coalescer.push_raw(req, now) {
-                next_id += 1;
-                if req.kind != pac_types::RequestKind::Fence {
-                    inflight += 1;
-                }
-                i += 1;
-            } else {
-                // Backpressure: shift the remaining schedule.
-                head_refused = Some((next_id, coalescer.admission_epoch()));
-                skew += 1;
-                break;
-            }
-        }
-
-        coalescer.tick(now, &mut dispatches);
-        for d in dispatches.drain(..) {
-            mem.submit(HmcRequest { id: d.dispatch_id, addr: d.addr, bytes: d.bytes, op: d.op }, now);
-        }
-        mem.tick(now);
-        mem.pop_responses(now, &mut responses);
-        for rsp in responses.drain(..) {
-            satisfied.clear();
-            coalescer.complete(rsp.id, now, &mut satisfied);
-            inflight -= satisfied.len() as u64;
-            if let Some(out) = served.as_deref_mut() {
-                out.extend_from_slice(&satisfied);
-            }
-        }
-
-        now += 1;
-        if i >= trace.len() {
-            coalescer.flush(now);
-        }
-        assert!(now < limit, "replay failed to converge by cycle {now}");
-    }
-    mem.finalize_stats();
-    coalescer.finalize_stats();
-
-    RunMetrics::from_parts(
-        kind.label(),
-        now,
-        coalescer.stats(),
-        mem.stats(),
-        mem.energy().clone(),
-        mem.bank_conflicts(),
-    )
+/// Run a replay to the end of its trace: its metrics and served ids.
+fn drain(mut sys: System<TraceFeed<'_>>) -> (RunMetrics, Vec<u64>) {
+    let progress = sys.advance(sys.run_limit(), Cycle::MAX);
+    assert!(progress == RunProgress::Done, "replay failed to converge by cycle {}", sys.now());
+    sys.finalize_run();
+    let served = sys.front_mut().served.take().unwrap_or_default();
+    (sys.memory_metrics(), served)
 }
 
 #[cfg(test)]
@@ -358,11 +303,8 @@ mod tests {
         let flood: Vec<TraceEntry> = (0..400).map(|i| entry(0, 0x100000 + i * 4096)).collect();
         for trace in [&captured, &flood] {
             for kind in CoalescerKind::ALL {
-                let run = |stepping| {
-                    let mut served = Vec::new();
-                    let m = replay_core(trace, kind, &cfg.sim, false, stepping, Some(&mut served));
-                    (m, served)
-                };
+                let run =
+                    |stepping| drain(replay_system(trace, kind, &cfg.sim, false, stepping, true));
                 let (m_every, every) = run(Stepping::EveryCycle);
                 let (m_skip, skip) = run(Stepping::SkipAhead);
                 let mut once = every.clone();
@@ -373,5 +315,41 @@ mod tests {
                 assert_eq!(m_every, m_skip, "{kind:?}: metrics diverged");
             }
         }
+    }
+
+    #[test]
+    fn the_oracle_checks_a_replay_through_the_shared_memory_side() {
+        // The flood of `backpressure_stretches_but_completes`, replayed
+        // under the lockstep oracle: clean as it stands, and a dropped
+        // response is caught as lost.
+        use pac_oracle::Invariant;
+        use pac_types::{FaultClass, FaultPlan};
+        let flood: Vec<TraceEntry> =
+            (0..2000).map(|i| entry(0, 0x100000 + i * 4096)).collect();
+        let cfg = SimConfig::default();
+        let check = |plan: Option<FaultPlan>| {
+            let mut sys = replay_system(&flood, CoalescerKind::Pac, &cfg, false, Stepping::SkipAhead, false);
+            sys.attach_oracle();
+            if let Some(plan) = plan {
+                sys.set_fault_plan(plan).expect("valid fault plan");
+            }
+            let progress = sys.advance(2_000_000, Cycle::MAX);
+            sys.finalize_run();
+            (progress, sys.faults_injected(), sys.oracle_report().expect("oracle attached"))
+        };
+        let (progress, faults, clean) = check(None);
+        assert_eq!(progress, RunProgress::Done);
+        assert_eq!(faults, 0);
+        assert!(clean.is_clean(), "{}", clean.summary());
+        assert_eq!(clean.accepted_raw, 2000);
+        assert_eq!(clean.served_raw, 2000);
+        let (_, faults, dropped) = check(Some(FaultPlan::new(FaultClass::DropResponse, 99)));
+        assert!(faults > 0);
+        assert!(
+            dropped.detected(Invariant::LostResponse)
+                || dropped.detected(Invariant::ResponseConservation),
+            "{}",
+            dropped.summary()
+        );
     }
 }

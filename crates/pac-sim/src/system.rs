@@ -1,6 +1,11 @@
-//! The assembled system: cores → caches → coalescer → memory backend
-//! (HMC vaults or HBM pseudo-channels, selected by
-//! `SimConfig.backend`).
+//! The assembled system and its one run loop. A [`System`] pairs a
+//! [`FrontEnd`] that issues raw requests with the [`MemorySide`] they
+//! enter: coalescer → memory backend (HMC vaults or HBM
+//! pseudo-channels, selected by `SimConfig.backend`). The memory side
+//! is written once for both front ends: [`Cores`], the execution-driven
+//! cores behind [`SimSystem`] (Fig 15), and the trace feed behind
+//! [`crate::replay()`] (the trace-driven figures and `conformance
+//! --diff`).
 
 use crate::core::{CoreState, PendingPush};
 use crate::metrics::RunMetrics;
@@ -22,19 +27,18 @@ use std::collections::{HashMap, VecDeque};
 
 pub use pac_types::{IdHash, IdHasher};
 
-/// Clock-advance policy for [`SimSystem::run`] and trace replay
-/// ([`crate::replay_with`]).
+/// Clock-advance policy of the run loop ([`System::advance`]), for the
+/// execution-driven [`SimSystem`] and trace replay
+/// ([`crate::replay_with`]) alike.
 ///
-/// Skip-ahead is the production mode: after each tick the loop asks
-/// every component for its earliest upcoming event cycle and jumps the
-/// clock to the first one something outside the memory device can see,
-/// ticking the device alone through its earlier events. Component
-/// events are conservative lower bounds — an early (no-op) tick is
-/// harmless because every component keeps absolute-cycle bookkeeping,
-/// while a missed cycle would lose a per-cycle side effect — so
-/// skip-ahead produces metrics bit-identical to the cycle-by-cycle
-/// reference (regression-tested in `tests/skip_ahead_equivalence.rs`
-/// and `tests/proptests.rs`).
+/// Skip-ahead is the production mode: after each tick the loop jumps
+/// the clock to the first cycle something outside the memory device can
+/// see (DESIGN.md "Simulation core performance"). Component events are
+/// conservative lower bounds — an early tick is a harmless no-op, while
+/// a missed cycle would lose a per-cycle side effect — so skip-ahead
+/// produces metrics bit-identical to the cycle-by-cycle reference
+/// (regression-tested in `tests/skip_ahead_equivalence.rs` and
+/// `tests/proptests.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Stepping {
     /// Tick every cycle: the reference mode skip-ahead is tested against.
@@ -47,9 +51,9 @@ pub enum Stepping {
 impl Stepping {
     /// The default policy, overridable via `PAC_STEPPING=every` (or
     /// `cycle`) for A/B wall-clock comparisons without recompiling.
-    /// [`SimSystem::new`], [`crate::replay`] and [`crate::replay_served`]
-    /// all read it, so the one variable switches both the system run and
-    /// trace replay to the every-cycle reference.
+    /// [`SimSystem::new`], [`crate::replay()`] and [`crate::replay_served`]
+    /// all read it, so the one variable switches the one run loop to the
+    /// every-cycle reference under either front end.
     pub fn from_env() -> Self {
         match std::env::var("PAC_STEPPING").as_deref() {
             Ok("every") | Ok("cycle") | Ok("every-cycle") => Stepping::EveryCycle,
@@ -95,10 +99,10 @@ impl CoalescerKind {
     }
 }
 
-/// How one [`SimSystem::advance`] leg of the run loop ended.
+/// How one [`System::advance`] leg of the run loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunProgress {
-    /// Every core finished and the system drained.
+    /// The front end finished and the system drained.
     Done,
     /// The recovery layer's quiesce/drain abort terminated the run.
     Aborted,
@@ -259,36 +263,68 @@ pac_types::snapshot_fields!(RawMeta { owner, line, is_fill });
 pac_types::snapshot_fields!(StreamEntry { next_line, streak, prefetched_upto, lru });
 pac_types::snapshot_fields!(StrideState { entries });
 
-/// The full simulated system.
-pub struct SimSystem {
+/// A refusal memo: the raw id of a request the coalescer refused and
+/// the admission epoch it was refused at. While the epoch stands,
+/// nothing `would_accept` reads has moved, so the request stays
+/// refused: it is charged instead of offered again. A cache, left out
+/// of checkpoints: it starts empty after a restore, so the first retry
+/// is a real offer.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RefusalMemo(Option<(u64, u64)>);
+
+impl RefusalMemo {
+    /// Whether raw id `id` stands refused at admission epoch `epoch`.
+    fn holds(&self, id: u64, epoch: u64) -> bool {
+        self.0 == Some((id, epoch))
+    }
+}
+
+/// The half of a [`System`] that issues raw requests: the
+/// execution-driven [`Cores`], or the trace feed behind
+/// [`crate::replay()`]. Each keeps its own admission — what it offers,
+/// in which order, and how it hints the coalescer — and hands every
+/// offer to `MemorySide::offer`. The run loop is generic over the
+/// front end, so no call through it is indirect.
+pub trait FrontEnd {
+    /// Offer this cycle's raw requests through `MemorySide::offer`,
+    /// after hinting the coalescer how many wait behind them.
+    fn issue(&mut self, mem: &mut MemorySide);
+
+    /// Raw request `raw` completed at `now` (or was force-completed by
+    /// the recovery layer's quiesce abort).
+    fn complete(&mut self, raw: u64, now: Cycle);
+
+    /// The front end's half of the skip rule, asked between ticks: the
+    /// earliest cycle at which it could act, where a cycle no later
+    /// than now means it has work now and pins the clock, and `None`
+    /// means only a completion can wake it. Every request it would
+    /// offer, refused, at each cycle of a jump goes to `blocked`
+    /// (`MemorySide::stays_refused` decides).
+    fn next_wake(&mut self, mem: &MemorySide, blocked: &mut Vec<MemRequest>) -> Option<Cycle>;
+
+    /// The clock jumped from `from` to `to` over cycles on which every
+    /// request put in `blocked` was refused once.
+    fn jumped(&mut self, from: Cycle, to: Cycle);
+
+    /// Every request of the stream has been admitted, so the end-of-run
+    /// stage-1 flush may go.
+    fn exhausted(&self) -> bool;
+
+    /// Nothing of the front end waits on the memory side any more.
+    fn done(&self) -> bool;
+}
+
+/// The memory side of a [`System`]: everything below the front end,
+/// written once for every front end.
+pub struct MemorySide {
     cfg: SimConfig,
     kind: CoalescerKind,
-    cores: Vec<CoreState>,
-    hierarchy: CacheHierarchy,
     coalescer: Box<dyn MemoryCoalescer>,
     /// The cycle-level memory device, selected by `cfg.backend` (HMC
     /// vaults or HBM pseudo-channels); everything above it is
     /// backend-agnostic.
-    mem: Box<dyn MemoryBackend>,
+    backend: Box<dyn MemoryBackend>,
     now: Cycle,
-    next_raw: u64,
-    raw_meta: HashMap<u64, RawMeta, IdHash>,
-    /// Write-backs and prefetches awaiting coalescer admission (the WB
-    /// queue plus the prefetch request queue).
-    side_queue: VecDeque<SideEntry>,
-    /// Refusal memo for the side-queue head: its raw id and the
-    /// admission epoch it was refused at. A cache, left out of
-    /// checkpoints (see `CoreState::refused_at`).
-    side_refused: Option<(u64, u64)>,
-    /// Per-core stride detectors.
-    strides: Vec<StrideState>,
-    /// Prefetches in flight or queued.
-    prefetch_outstanding: usize,
-    /// Prefetch fills issued over the run.
-    prefetches_issued: u64,
-    /// Optional MMU: when present, workload addresses are virtual and
-    /// are translated (with TLB-walk penalties) before the caches.
-    mmu: Option<pac_vm::Mmu>,
     /// Lockstep golden-model checker, when attached: observes every
     /// admission, dispatch, response, and completion and accumulates
     /// divergences from the functional model instead of panicking.
@@ -300,9 +336,9 @@ pub struct SimSystem {
     /// the dispatch and response paths — clean-run cycle counts are
     /// bit-identical with the layer absent.
     recovery: Option<RecoveryLayer>,
-    /// Captured raw miss trace.
-    trace: Option<Vec<TraceEntry>>,
-    trace_cap: usize,
+    /// Every admitted raw request, when capture is on.
+    capture: Option<Vec<TraceEntry>>,
+    capture_cap: usize,
     /// Structured-event tracer shared with the coalescer and the HMC
     /// (disabled by default; the disabled handle is a single branch).
     tracer: TraceHandle,
@@ -316,45 +352,23 @@ pub struct SimSystem {
     dispatches: Vec<DispatchedRequest>,
     responses: Vec<HmcResponse>,
     satisfied: Vec<u64>,
-    blocked_scratch: Vec<MemRequest>,
     recovery_actions: Vec<WatchdogAction>,
-    /// Exact set of cores eligible to issue at the cycle the last
-    /// `skip_to_next_event` landed on (bit `i` = core `i`), or `None`
-    /// when the jump was not taken and `tick` must scan. The skip pass
-    /// already evaluates every core's next issue cycle, and nothing
-    /// between the jump and the core phase of the landing tick can
-    /// change core state, so `tick` reuses the verdicts instead of
-    /// re-interrogating all cores.
-    core_mask: Option<u64>,
-    /// Whether the end-of-stream stage-1 flush has been issued. Lives on
-    /// the system (not the run loop) so a checkpoint taken mid-run
-    /// carries it.
+    /// Whether the end-of-stream stage-1 flush has been issued. Lives
+    /// here (not in the run loop) so a checkpoint taken mid-run carries
+    /// it.
     flushed: bool,
-    /// Convergence bound computed by [`Self::begin_run`].
+    /// Convergence bound of the run.
     run_limit: Cycle,
 }
 
-impl SimSystem {
-    pub fn new(cfg: SimConfig, specs: Vec<CoreSpec>, kind: CoalescerKind) -> Self {
-        Self::with_options(cfg, specs, kind, false, false, Stepping::from_env())
-    }
-
-    /// `capture_trace` retains the raw miss stream (Figs 2/8/9);
-    /// `trace_occupancy` retains PAC's stream-occupancy samples (Fig 11b);
-    /// `stepping` selects the clock-advance policy (metrics are identical
-    /// either way, only wall-clock differs).
-    pub fn with_options(
+impl MemorySide {
+    pub(crate) fn new(
         cfg: SimConfig,
-        specs: Vec<CoreSpec>,
         kind: CoalescerKind,
-        capture_trace: bool,
         trace_occupancy: bool,
         stepping: Stepping,
+        run_limit: Cycle,
     ) -> Self {
-        assert!(!specs.is_empty());
-        if let Err(e) = cfg.validate() {
-            panic!("invalid SimConfig: {e}");
-        }
         assert!(
             cfg.coalescer.protocol.max_request_bytes() <= cfg.active_row_bytes(),
             "coalescer protocol allows {}B requests but the active device rows are {}B; \
@@ -363,31 +377,15 @@ impl SimSystem {
             cfg.coalescer.protocol.max_request_bytes(),
             cfg.active_row_bytes()
         );
-        let cores: Vec<CoreState> = specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| CoreState::new(i as u8, s, 0, cfg.core_outstanding))
-            .collect();
-        let n_cores = cores.len();
-        SimSystem {
-            hierarchy: CacheHierarchy::new(n_cores as u32, cfg.l1, cfg.l2),
+        MemorySide {
             coalescer: kind.build(&cfg, trace_occupancy),
-            mem: pac_mem::build_backend(&cfg),
-            cores,
+            backend: pac_mem::build_backend(&cfg),
             kind,
-            strides: vec![StrideState::default(); n_cores],
             now: 0,
-            next_raw: 0,
-            raw_meta: HashMap::default(),
-            side_queue: VecDeque::new(),
-            side_refused: None,
-            prefetch_outstanding: 0,
-            prefetches_issued: 0,
-            mmu: None,
             oracle: None,
             recovery: None,
-            trace: capture_trace.then(Vec::new),
-            trace_cap: 1 << 20,
+            capture: None,
+            capture_cap: 1 << 20,
             tracer: TraceHandle::disabled(),
             last_counter_sample: 0,
             seen_violations: 0,
@@ -395,58 +393,408 @@ impl SimSystem {
             dispatches: Vec::new(),
             responses: Vec::new(),
             satisfied: Vec::new(),
-            blocked_scratch: Vec::new(),
             recovery_actions: Vec::new(),
-            core_mask: None,
             flushed: false,
-            run_limit: 0,
+            run_limit,
             cfg,
         }
     }
 
-    /// Enable virtual memory: workload addresses become virtual and
-    /// translate through `mmu` (scattered frames, TLB penalties).
-    pub fn set_mmu(&mut self, mmu: pac_vm::Mmu) {
-        self.mmu = Some(mmu);
+    pub(crate) fn now(&self) -> Cycle {
+        self.now
     }
 
-    /// The MMU, if virtual memory is enabled.
-    pub fn mmu(&self) -> Option<&pac_vm::Mmu> {
-        self.mmu.as_ref()
+    /// Tell the controller how many further raw requests wait behind
+    /// this cycle's offers (Fig 3 gives it that visibility).
+    pub(crate) fn hint_pending(&mut self, waiting: usize) {
+        self.coalescer.hint_pending(waiting);
+    }
+
+    /// Offer `req` to the coalescer at the current cycle, fences
+    /// included; returns whether it was admitted. `memo` is the
+    /// offering source's refusal memo: a refusal is recorded there, and
+    /// a memo hit — the request was refused at the current admission
+    /// epoch already — is not offered again but charged as one refused
+    /// retry, which leaves the coalescer exactly as the literal refused
+    /// offer would have. The every-cycle reference never trusts the
+    /// memo and keeps offering literally.
+    pub(crate) fn offer(&mut self, req: MemRequest, memo: &mut RefusalMemo) -> bool {
+        if self.stepping == Stepping::SkipAhead
+            && memo.holds(req.id, self.coalescer.admission_epoch())
+        {
+            debug_assert!(
+                !self.coalescer.would_accept(&req),
+                "refusal memo hit on an acceptable request"
+            );
+            self.coalescer.note_refused_retries(&req, self.now, 1);
+            return false;
+        }
+        // The oracle sees every admission attempt: the prediction is
+        // sampled before the push so `would_accept`/`push_raw`
+        // disagreement is caught at its source.
+        let predicted = self.oracle.is_some() && self.coalescer.would_accept(&req);
+        let accepted = self.coalescer.push_raw(req, self.now);
+        if let Some(o) = &mut self.oracle {
+            o.note_push(&req, predicted, accepted, self.now);
+            if req.kind == RequestKind::Fence {
+                // A fence must leave stage 1 empty behind it.
+                if let Some(streams) = self.coalescer.stage1_occupancy() {
+                    o.note_fence(streams, self.now);
+                }
+            }
+        }
+        if !accepted {
+            *memo = RefusalMemo(Some((req.id, self.coalescer.admission_epoch())));
+            return false;
+        }
+        if let Some(t) = &mut self.capture {
+            if t.len() == self.capture_cap {
+                eprintln!(
+                    "warning: trace capture truncated at {} entries; replay sees a clipped stream",
+                    self.capture_cap
+                );
+            }
+            if t.len() < self.capture_cap {
+                t.push(TraceEntry {
+                    cycle: self.now,
+                    addr: req.addr,
+                    op: req.op,
+                    kind: req.kind,
+                    data_bytes: req.data_bytes,
+                    core: req.core,
+                });
+            }
+        }
+        true
+    }
+
+    /// The memo check of the skip rule: whether `req`, offered now,
+    /// would be refused. A request already refused at the current
+    /// admission epoch counts as refused without asking again; a fresh
+    /// refusal is recorded in `memo`. Called between ticks, against the
+    /// settled state of the tick just executed.
+    pub(crate) fn stays_refused(&self, req: &MemRequest, memo: &mut RefusalMemo) -> bool {
+        let epoch = self.coalescer.admission_epoch();
+        if memo.holds(req.id, epoch) {
+            return true;
+        }
+        if self.coalescer.would_accept(req) {
+            return false;
+        }
+        *memo = RefusalMemo(Some((req.id, epoch)));
+        true
+    }
+
+    /// Whether everything below the front end has drained.
+    fn drained(&self) -> bool {
+        self.coalescer.is_drained()
+            && self.backend.is_idle()
+            && self.recovery.as_ref().is_none_or(|r| r.outstanding() == 0)
+    }
+
+    /// The memory half of one cycle, after the front end has issued:
+    /// dispatch → device → response screening → completion, then the
+    /// watchdog and the per-tick checks. Every raw request a response
+    /// satisfies goes back to `front`.
+    fn tick<F: FrontEnd>(&mut self, front: &mut F) {
+        let now = self.now;
+
+        // Coalescer pipeline advances; dispatches go to the device.
+        self.coalescer.tick(now, &mut self.dispatches);
+        for d in self.dispatches.drain(..) {
+            if let Some(o) = &mut self.oracle {
+                o.note_dispatch(&d, now);
+            }
+            if let Some(rec) = &mut self.recovery {
+                // Sequence-tag the transaction; the watchdog now owns it
+                // until exactly one clean response is delivered.
+                rec.note_dispatch(d.dispatch_id, d.addr, d.bytes, d.op, now);
+            }
+            self.backend.submit(
+                HmcRequest { id: d.dispatch_id, addr: d.addr, bytes: d.bytes, op: d.op },
+                now,
+            );
+        }
+
+        // Memory advances; responses release MSHRs and return to the
+        // front end.
+        self.backend.tick(now);
+        self.backend.pop_responses(now, &mut self.responses);
+        for rsp in self.responses.drain(..) {
+            // The recovery layer screens every response before the
+            // oracle or the coalescer can see it: duplicates and
+            // poisoned echoes must vanish here for the oracle to stay
+            // silent on repaired runs.
+            if let Some(rec) = &mut self.recovery {
+                match rec.filter_response(&rsp, now) {
+                    ResponseVerdict::Deliver => {}
+                    ResponseVerdict::Duplicate { seq } => {
+                        self.tracer.emit(now, EventClass::Diagnostic, || {
+                            EventKind::DuplicateDropped { seq, id: rsp.id }
+                        });
+                        continue;
+                    }
+                    ResponseVerdict::Poison { seq, expected_addr, bytes, op, attempt, reissue } => {
+                        self.tracer.emit(now, EventClass::Diagnostic, || {
+                            EventKind::PoisonDetected {
+                                seq,
+                                id: rsp.id,
+                                echoed_addr: rsp.addr,
+                                expected_addr,
+                            }
+                        });
+                        if reissue {
+                            self.tracer.emit(now, EventClass::Diagnostic, || {
+                                EventKind::RetryIssued { seq, id: rsp.id, attempt }
+                            });
+                            // Same dispatch id: the clean response must
+                            // still release the original MSHR. The
+                            // oracle already saw this dispatch once, so
+                            // it is not re-noted.
+                            self.backend.submit(
+                                HmcRequest { id: rsp.id, addr: expected_addr, bytes, op },
+                                now,
+                            );
+                        }
+                        continue;
+                    }
+                }
+            }
+            self.satisfied.clear();
+            if let Some(o) = &mut self.oracle {
+                o.note_response(rsp.id, rsp.addr, rsp.bytes, rsp.op, now);
+            }
+            self.coalescer.complete(rsp.id, now, &mut self.satisfied);
+            if let Some(o) = &mut self.oracle {
+                o.note_completion(rsp.id, &self.satisfied, now);
+            }
+            for raw in self.satisfied.drain(..) {
+                front.complete(raw, now);
+            }
+        }
+
+        // Watchdog pass: responses that arrived this cycle are already
+        // processed above, so only genuinely unanswered transactions
+        // can expire here. Retries resubmit under the original dispatch
+        // id (the oracle saw that dispatch once; it is not re-noted).
+        if let Some(rec) = &mut self.recovery {
+            self.recovery_actions.clear();
+            rec.collect_expired(now, &mut self.recovery_actions);
+            for act in self.recovery_actions.drain(..) {
+                match act {
+                    WatchdogAction::Retry { seq, id, addr, bytes, op, attempt } => {
+                        self.tracer.emit(now, EventClass::Diagnostic, || {
+                            EventKind::WatchdogFired { seq, id, attempt: attempt - 1 }
+                        });
+                        self.tracer
+                            .trigger_dump(now, DumpTrigger::Watchdog { seq, id, attempt: attempt - 1 });
+                        self.tracer.emit(now, EventClass::Diagnostic, || {
+                            EventKind::RetryIssued { seq, id, attempt }
+                        });
+                        self.backend.submit(HmcRequest { id, addr, bytes, op }, now);
+                    }
+                    WatchdogAction::Exhausted { seq, id, attempt } => {
+                        self.tracer.emit(now, EventClass::Diagnostic, || {
+                            EventKind::WatchdogFired { seq, id, attempt }
+                        });
+                        self.tracer.trigger_dump(now, DumpTrigger::Watchdog { seq, id, attempt });
+                    }
+                }
+            }
+        }
+        if self.recovery.as_ref().is_some_and(|r| r.has_stuck() && !r.aborted()) {
+            self.quiesce_abort(now, front);
+        }
+
+        // Structural invariants are polled continuously, not just at the
+        // run boundary — a transient overflow inside a burst must not
+        // escape because the structures drained before the end.
+        if let Some(o) = &mut self.oracle {
+            o.note_integrity(self.coalescer.integrity(), now);
+        }
+
+        if self.tracer.is_enabled() {
+            self.observe(now);
+        }
+
+        self.now = now + 1;
+    }
+
+    /// Tracer-only side channel, run once per tick when tracing is on:
+    /// samples the counter tracks on a fixed cadence and dumps the
+    /// flight-recorder window whenever the oracle records a violation
+    /// it has not seen before. Reads simulation state, never writes it.
+    fn observe(&mut self, now: Cycle) {
+        const COUNTER_SAMPLE_CYCLES: Cycle = 16;
+        if now == 0 || now >= self.last_counter_sample + COUNTER_SAMPLE_CYCLES {
+            self.last_counter_sample = now;
+            if let Some(g) = self.coalescer.gauges() {
+                self.tracer.counter(now, CounterKind::MaqDepth, g.maq_depth as u64);
+                self.tracer.counter(now, CounterKind::ActiveStreams, g.active_streams as u64);
+                self.tracer.counter(now, CounterKind::InflightMshrs, g.inflight_mshrs as u64);
+            }
+            self.tracer.counter(now, CounterKind::BankConflicts, self.backend.bank_conflicts());
+            // Per-cause issue-stall accounting, on backends that model
+            // named timing rules (HBM); the channel counters are
+            // always current mid-run.
+            if let Some(stalls) = self.backend.stall_cycles() {
+                self.tracer.counter(now, CounterKind::TccdLStallCycles, stalls.tccd_l);
+                self.tracer.counter(now, CounterKind::TfawStallCycles, stalls.tfaw);
+                self.tracer.counter(now, CounterKind::RefreshStallCycles, stalls.refresh);
+                self.tracer.counter(
+                    now,
+                    CounterKind::BankConflictStallCycles,
+                    stalls.bank_conflict,
+                );
+            }
+        }
+        if let Some(o) = &self.oracle {
+            let total = o.total_violations();
+            if total > self.seen_violations {
+                self.seen_violations = total;
+                let detail = o
+                    .latest_violation()
+                    .map(|v| format!("{}: {}", v.invariant.label(), v.detail))
+                    .unwrap_or_else(|| "violation past the recording cap".to_string());
+                self.tracer.emit(now, EventClass::Diagnostic, || EventKind::OracleViolation {
+                    detail: detail.clone(),
+                });
+                self.tracer.trigger_dump(now, DumpTrigger::OracleViolation { detail });
+            }
+        }
+    }
+
+    /// Quiesce/drain abort: retries are exhausted, so the run cannot
+    /// complete correctly — but it must not wedge either. Every
+    /// still-tracked transaction (live and stuck) is force-completed
+    /// through the coalescer, reclaiming its MSHR/stream, and each raw
+    /// request it covered goes back to the front end, which releases
+    /// its owner. The oracle is deliberately *not* fed these forced
+    /// completions: the data loss is real and its conservation
+    /// invariants should say so. The run loop then terminates with
+    /// `converged == false` and a [`RecoveryReport`] naming the stuck
+    /// sequence tags.
+    fn quiesce_abort<F: FrontEnd>(&mut self, now: Cycle, front: &mut F) {
+        let ids = self.recovery.as_mut().expect("quiesce without recovery layer").drain_for_abort();
+        for id in ids {
+            self.satisfied.clear();
+            self.coalescer.complete(id, now, &mut self.satisfied);
+            for raw in self.satisfied.drain(..) {
+                front.complete(raw, now);
+            }
+        }
+    }
+
+    /// Whether the recovery layer ran its quiesce/drain abort.
+    fn recovery_aborted(&self) -> bool {
+        self.recovery.as_ref().is_some_and(|r| r.aborted())
+    }
+
+    /// The memory side's half of the skip rule: lower `best`, the front
+    /// end's wake, to the first coalescer event, watchdog deadline, or
+    /// device event visible outside the device, ticking the device
+    /// alone up to it. `None` when the clock must not move: something
+    /// has work now, or nothing has any event at all.
+    fn next_event(&mut self, best: Cycle, clamp: Cycle) -> Option<Cycle> {
+        let now = self.now;
+        let mut best = best;
+        if let Some(c) = self.coalescer.next_event(now) {
+            if c <= now {
+                return None;
+            }
+            best = best.min(c);
+        }
+        // Watchdog deadlines are real events: a jump past one would
+        // fire the retry late and (on delay-class runs) let the oracle's
+        // latency bound trip before the repair lands.
+        if let Some(c) = self.recovery.as_mut().and_then(|r| r.next_deadline()) {
+            if c <= now {
+                return None;
+            }
+            best = best.min(c);
+        }
+        // Everything but the device is settled until `best`: tick the
+        // device alone up to its first event visible outside it (a
+        // response to pop), never at or past `best` or `clamp`.
+        if let Some(c) = self.backend.fast_forward(now, best.min(clamp)) {
+            if c <= now {
+                return None;
+            }
+            best = best.min(c);
+        }
+        // Nothing has an event: the clock stays pinned, so a wedged run
+        // ticks on to its cycle limit instead of jumping past it.
+        (best != Cycle::MAX).then(|| best.min(clamp))
+    }
+
+    /// End-of-run bookkeeping: settle component statistics, fold the
+    /// recovery counters into the coalescer's record, finalize the
+    /// oracle's conservation invariants.
+    fn finalize(&mut self) {
+        self.backend.finalize_stats();
+        self.coalescer.finalize_stats();
+        if let Some(rec) = &self.recovery {
+            rec.fold_into(self.coalescer.stats_mut());
+        }
+        if let Some(o) = &mut self.oracle {
+            o.finalize(self.now);
+        }
+    }
+}
+
+/// A simulated system: a front end over the shared memory side, driven
+/// by the one run loop ([`Self::advance`]).
+pub struct System<F> {
+    front: F,
+    mem: MemorySide,
+    /// Skip-rule scratch: the requests the front end would re-offer,
+    /// refused, at every jumped cycle.
+    blocked: Vec<MemRequest>,
+}
+
+/// The execution-driven system: cores → caches → coalescer → memory.
+pub type SimSystem = System<Cores>;
+
+impl<F: FrontEnd> System<F> {
+    pub(crate) fn assemble(front: F, mem: MemorySide) -> Self {
+        System { front, mem, blocked: Vec::new() }
+    }
+
+    pub(crate) fn front_mut(&mut self) -> &mut F {
+        &mut self.front
     }
 
     /// Attach the lockstep golden-model checker with geometry bounds
     /// derived from this system's configuration.
     pub fn attach_oracle(&mut self) {
-        self.attach_oracle_with(OracleConfig::for_sim(&self.cfg));
+        self.attach_oracle_with(OracleConfig::for_sim(&self.mem.cfg));
     }
 
     /// Attach the lockstep checker with explicit parameters (e.g. a
     /// finite latency bound for delay-fault conformance runs).
     pub fn attach_oracle_with(&mut self, cfg: OracleConfig) {
-        self.oracle = Some(LockstepChecker::new(cfg));
+        self.mem.oracle = Some(LockstepChecker::new(cfg));
     }
 
     /// The checker's verdict so far. Conservation invariants only settle
-    /// after a completed [`Self::run`]/[`Self::run_until`] (which
-    /// finalize the checker).
+    /// after a finished run (which finalizes the checker).
     pub fn oracle_report(&self) -> Option<OracleReport> {
-        self.oracle.as_ref().map(|o| o.report())
+        self.mem.oracle.as_ref().map(|o| o.report())
     }
 
     /// Arm deterministic fault injection on the memory device's
     /// response path. The plan is validated first; a plan that could
     /// never fire (zero fault budget) is rejected at arm time.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), FaultPlanError> {
-        self.mem.set_fault_plan(plan)
+        self.mem.backend.set_fault_plan(plan)
     }
 
     /// Arm (or leave disabled) the transaction-recovery layer. With
     /// `cfg.enabled == false` this is a no-op and the layer stays
     /// absent, preserving bit-identical clean-path cycle counts. Call
-    /// before [`Self::run`]/[`Self::run_until`].
+    /// before the run.
     pub fn set_recovery_config(&mut self, cfg: RecoveryConfig) {
-        self.recovery = cfg.enabled.then(|| RecoveryLayer::new(cfg));
+        self.mem.recovery = cfg.enabled.then(|| RecoveryLayer::new(cfg));
     }
 
     /// The recovery layer's structured end-of-run report, when the
@@ -454,30 +802,30 @@ impl SimSystem {
     /// quiesce/drain path after retry exhaustion; `report.stuck` names
     /// the sequence tags that gave up.
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.recovery.as_ref().map(|r| r.report())
+        self.mem.recovery.as_ref().map(|r| r.report())
     }
 
     /// Enable structured-event tracing. One tracer is shared by the
     /// system, the coalescer, and the HMC device, so the flight
     /// recorder's ring holds an interleaved history of the whole
-    /// request path. Call before [`Self::run`].
+    /// request path. Call before the run.
     pub fn set_trace_config(&mut self, cfg: TraceConfig) {
         let tracer = TraceHandle::new(cfg);
-        self.coalescer.attach_tracer(tracer.clone());
-        self.mem.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.mem.coalescer.attach_tracer(tracer.clone());
+        self.mem.backend.set_tracer(tracer.clone());
+        self.mem.tracer = tracer;
     }
 
     /// The shared tracer (disabled unless [`Self::set_trace_config`]
     /// enabled it). Snapshot events, counters, and flight dumps from
     /// here after a run.
     pub fn tracer(&self) -> &TraceHandle {
-        &self.tracer
+        &self.mem.tracer
     }
 
     /// Faults the device actually injected so far.
     pub fn faults_injected(&self) -> u64 {
-        self.mem.faults_injected()
+        self.mem.backend.faults_injected()
     }
 
     /// Arm the device's hardware RAS layer (link CRC/retry/degrade on
@@ -488,12 +836,204 @@ impl SimSystem {
     /// one deliberate exception is the double-bit poison, which the
     /// recovery layer repairs before the oracle's final verdict).
     pub fn set_ras_plan(&mut self, plan: pac_types::RasPlan) -> Result<(), pac_types::RasPlanError> {
-        self.mem.set_ras_plan(plan)
+        self.mem.backend.set_ras_plan(plan)
     }
 
     /// Cumulative RAS event counters, when a plan is armed.
     pub fn ras_stats(&self) -> Option<pac_types::RasStats> {
-        self.mem.ras_stats()
+        self.mem.backend.ras_stats()
+    }
+
+    /// Drive the run loop until it drains, aborts, reaches
+    /// `cycle_limit`, or reaches `stop_at`. The `Paused` return leaves
+    /// the system between ticks — the checkpoint-safe boundary where
+    /// every per-tick scratch buffer is drained — so the caller can
+    /// [`SimSystem::save_state`] and later continue (here or in a
+    /// restored process) with another `advance` call, bit-identically
+    /// to a run that never stopped.
+    pub fn advance(&mut self, cycle_limit: Cycle, stop_at: Cycle) -> RunProgress {
+        while !(self.front.done() && self.mem.drained()) {
+            if self.mem.now >= cycle_limit {
+                return RunProgress::CycleLimit;
+            }
+            if self.mem.now >= stop_at {
+                return RunProgress::Paused;
+            }
+            self.front.issue(&mut self.mem);
+            self.mem.tick(&mut self.front);
+            if self.mem.recovery_aborted() {
+                // Quiesce/drain ran: structures are reclaimed and the
+                // run is over. Metrics are still collected — the
+                // RecoveryReport carries the verdict.
+                return RunProgress::Aborted;
+            }
+            if !self.mem.flushed && self.front.exhausted() {
+                // End of the request stream: flush stragglers out of
+                // stage 1 so the drain terminates promptly.
+                self.mem.coalescer.flush(self.mem.now);
+                self.mem.flushed = true;
+            }
+            if self.mem.stepping == Stepping::SkipAhead {
+                // The tick already advanced `now` by one; jump the clock
+                // over idle and blocked-retry cycles from there, never
+                // past the caller's pause or cycle-limit boundary.
+                self.skip_to_next_event(stop_at.min(cycle_limit));
+            }
+        }
+        RunProgress::Done
+    }
+
+    /// The skip rule (DESIGN.md "Simulation core performance"): jump
+    /// the clock from `now` over idle, blocked-retry and device-only
+    /// cycles to the earliest cycle at which anything outside the
+    /// memory device can change, charging each blocked request's
+    /// refusals in bulk. The front end names its wake and its blocked
+    /// requests ([`FrontEnd::next_wake`]); the memory side adds its own
+    /// events ([`MemorySide::next_event`]).
+    ///
+    /// `clamp` caps the landing cycle (the caller's pause/limit
+    /// boundary): a jump never passes it, and at the boundary there is
+    /// no jump, so [`Self::advance`] pauses exactly on `stop_at` under
+    /// either stepping. The split bulk accounting ([now, clamp) here,
+    /// the rest after resuming) sums to the unclamped totals.
+    fn skip_to_next_event(&mut self, clamp: Cycle) {
+        let now = self.mem.now;
+        if now >= clamp {
+            return;
+        }
+        self.blocked.clear();
+        let wake = match self.front.next_wake(&self.mem, &mut self.blocked) {
+            Some(c) if c <= now => return,
+            Some(c) => c,
+            None => Cycle::MAX,
+        };
+        let Some(to) = self.mem.next_event(wake, clamp) else { return };
+        // Cycles [now, to) would each re-offer every blocked request
+        // exactly once and be refused; account those offers and jump.
+        for req in &self.blocked {
+            self.mem.coalescer.note_refused_retries(req, now, to - now);
+        }
+        self.front.jumped(now, to);
+        self.mem.now = to;
+    }
+
+    /// Settle end-of-run statistics. Call once, after [`Self::advance`]
+    /// returns a terminal (non-`Paused`) state.
+    pub(crate) fn finalize_run(&mut self) {
+        self.mem.finalize();
+    }
+
+    /// The metrics of the memory side; the front end's fields are zero.
+    pub(crate) fn memory_metrics(&self) -> RunMetrics {
+        RunMetrics::from_parts(
+            self.mem.kind.label(),
+            self.mem.now,
+            self.mem.coalescer.stats(),
+            self.mem.backend.stats(),
+            self.mem.backend.energy().clone(),
+            self.mem.backend.bank_conflicts(),
+        )
+    }
+
+    pub fn now(&self) -> Cycle {
+        self.mem.now
+    }
+
+    /// Convergence bound of the run (set by [`SimSystem::begin_run`],
+    /// restored from a checkpoint, or derived from a replayed trace).
+    /// The cycle limit [`SimSystem::run`] enforces.
+    pub fn run_limit(&self) -> Cycle {
+        self.mem.run_limit
+    }
+
+    pub fn config(&self) -> &SimConfig {
+        &self.mem.cfg
+    }
+
+    pub fn coalescer_stats(&self) -> &pac_core::CoalescerStats {
+        self.mem.coalescer.stats()
+    }
+
+    /// Device transaction statistics (the name predates the second
+    /// backend; the stats shape is shared by all of them).
+    pub fn hmc_stats(&self) -> &hmc_sim::HmcStats {
+        self.mem.backend.stats()
+    }
+
+    /// Which memory backend this system runs on.
+    pub fn backend(&self) -> pac_types::BackendKind {
+        self.mem.backend.kind()
+    }
+
+    pub fn bank_conflicts(&self) -> u64 {
+        self.mem.backend.bank_conflicts()
+    }
+
+    /// Per-cause issue-stall cycles from the backend, where the model
+    /// attributes them (HBM; `None` on HMC).
+    pub fn stall_cycles(&self) -> Option<pac_types::StallCycles> {
+        self.mem.backend.stall_cycles()
+    }
+}
+
+/// The execution-driven front end: the cores, the cache hierarchy, the
+/// optional MMU, the LLC prefetcher, and the side queue of write-backs
+/// and prefetch fills.
+pub struct Cores {
+    cores: Vec<CoreState>,
+    hierarchy: CacheHierarchy,
+    next_raw: u64,
+    raw_meta: HashMap<u64, RawMeta, IdHash>,
+    /// Write-backs and prefetches awaiting coalescer admission (the WB
+    /// queue plus the prefetch request queue).
+    side_queue: VecDeque<SideEntry>,
+    /// Refusal memo for the side-queue head.
+    side_memo: RefusalMemo,
+    /// Per-core stride detectors.
+    strides: Vec<StrideState>,
+    /// Prefetches in flight or queued.
+    prefetch_outstanding: usize,
+    /// Prefetch fills issued over the run.
+    prefetches_issued: u64,
+    /// Optional MMU: when present, workload addresses are virtual and
+    /// are translated (with TLB-walk penalties) before the caches.
+    mmu: Option<pac_vm::Mmu>,
+    /// Exact set of cores eligible to issue at the cycle the last jump
+    /// landed on (bit `i` = core `i`), or `None` when the jump was not
+    /// taken and `issue` must scan. The skip pass already evaluates
+    /// every core's next issue cycle, and nothing between the jump and
+    /// the core phase of the landing tick can change core state, so
+    /// `issue` reuses the verdicts instead of re-interrogating all
+    /// cores.
+    core_mask: Option<u64>,
+    /// What the last [`FrontEnd::next_wake`] found, for `jumped`: the
+    /// blocked retriers, the earliest later issue cycle, and the cores
+    /// that issue then.
+    landing: (u64, Cycle, u64),
+}
+
+impl Cores {
+    fn new(cfg: &SimConfig, specs: Vec<CoreSpec>) -> Self {
+        let cores: Vec<CoreState> = specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| CoreState::new(i as u8, s, 0, cfg.core_outstanding))
+            .collect();
+        let n_cores = cores.len();
+        Cores {
+            hierarchy: CacheHierarchy::new(n_cores as u32, cfg.l1, cfg.l2),
+            cores,
+            strides: vec![StrideState::default(); n_cores],
+            next_raw: 0,
+            raw_meta: HashMap::default(),
+            side_queue: VecDeque::new(),
+            side_memo: RefusalMemo::default(),
+            prefetch_outstanding: 0,
+            prefetches_issued: 0,
+            mmu: None,
+            core_mask: None,
+            landing: (0, Cycle::MAX, 0),
+        }
     }
 
     fn alloc_raw(&mut self) -> u64 {
@@ -502,82 +1042,31 @@ impl SimSystem {
         id
     }
 
-    /// Try to push a prepared raw request that was last refused at
-    /// admission epoch `refused_at`. On backpressure, `Err` carries the
-    /// epoch it now stands refused at. A memo hit — the epoch has not
-    /// moved since the refusal, so neither has anything `would_accept`
-    /// reads — is not offered again: it is charged as one refused
-    /// retry, which leaves the coalescer exactly as the literal refused
-    /// offer would have. The every-cycle reference never trusts the
-    /// memo and keeps offering literally.
-    fn offer(
-        &mut self,
-        pending: PendingPush,
-        owner: Owner,
-        refused_at: Option<u64>,
-    ) -> Result<(), u64> {
-        let epoch = self.coalescer.admission_epoch();
-        if self.stepping == Stepping::SkipAhead && refused_at == Some(epoch) {
-            debug_assert!(
-                !self.coalescer.would_accept(&pending.req),
-                "refusal memo hit on an acceptable request"
-            );
-            self.coalescer.note_refused_retries(&pending.req, self.now, 1);
-            return Err(epoch);
-        }
-        // The oracle sees every admission attempt: the prediction is
-        // sampled before the push so `would_accept`/`push_raw`
-        // disagreement is caught at its source.
-        let predicted =
-            self.oracle.is_some() && self.coalescer.would_accept(&pending.req);
-        let accepted = self.coalescer.push_raw(pending.req, self.now);
-        if let Some(o) = &mut self.oracle {
-            o.note_push(&pending.req, predicted, accepted, self.now);
-        }
-        if !accepted {
-            return Err(self.coalescer.admission_epoch());
-        }
+    /// Record an admitted request's owner until its completion.
+    fn admitted(&mut self, pending: PendingPush, owner: Owner) {
         self.raw_meta.insert(
             pending.req.id,
             RawMeta { owner, line: pending.req.line(), is_fill: pending.is_fill },
         );
-        if let Some(t) = &mut self.trace {
-            if t.len() == self.trace_cap {
-                eprintln!(
-                    "warning: trace capture truncated at {} entries; replay sees a clipped stream",
-                    self.trace_cap
-                );
-            }
-            if t.len() < self.trace_cap {
-                t.push(TraceEntry {
-                    cycle: self.now,
-                    addr: pending.req.addr,
-                    op: pending.req.op,
-                    kind: pending.req.kind,
-                    data_bytes: pending.req.data_bytes,
-                    core: pending.req.core,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Offer core `c`'s request and account the outcome on the core: an
     /// accepted request joins its outstanding window, a refused one
     /// waits as its retry.
-    fn admit_core(&mut self, c: usize, pending: PendingPush, refused_at: Option<u64>) {
-        match self.offer(pending, Owner::Core(c as u8), refused_at) {
-            Ok(()) => {
-                self.cores[c].outstanding += 1;
-                self.cores[c].charge(self.now, 1);
-            }
-            Err(epoch) => self.cores[c].refuse(self.now, pending, epoch),
+    fn admit_core(&mut self, mem: &mut MemorySide, c: usize, pending: PendingPush) {
+        let now = mem.now;
+        if mem.offer(pending.req, &mut self.cores[c].memo) {
+            self.admitted(pending, Owner::Core(c as u8));
+            self.cores[c].outstanding += 1;
+            self.cores[c].charge(now, 1);
+        } else {
+            self.cores[c].refuse(now, pending);
         }
     }
 
-    fn enqueue_writeback(&mut self, line: u64) {
+    fn enqueue_writeback(&mut self, line: u64, now: Cycle) {
         let id = self.alloc_raw();
-        let mut req = MemRequest::miss(id, line, Op::Store, u8::MAX, self.now);
+        let mut req = MemRequest::miss(id, line, Op::Store, u8::MAX, now);
         req.kind = RequestKind::WriteBack;
         req.data_bytes = CACHE_LINE_BYTES as u32;
         self.side_queue.push_back(SideEntry::Ready(req, Owner::WriteBack, false));
@@ -586,21 +1075,16 @@ impl SimSystem {
     /// Admit side-queue entries (write-backs, prefetches) in order until
     /// the coalescer refuses one. Prefetch candidates probe the LLC only
     /// here; candidates overtaken by a demand miss are dropped.
-    fn drain_side_queue(&mut self) {
+    fn drain_side_queue(&mut self, mem: &mut MemorySide) {
+        let now = mem.now;
         while let Some(&entry) = self.side_queue.front() {
             match entry {
                 SideEntry::Ready(req, owner, is_fill) => {
-                    let refused_at =
-                        self.side_refused.and_then(|(id, epoch)| (id == req.id).then_some(epoch));
-                    match self.offer(PendingPush { req, is_fill }, owner, refused_at) {
-                        Ok(()) => {
-                            self.side_queue.pop_front();
-                        }
-                        Err(epoch) => {
-                            self.side_refused = Some((req.id, epoch));
-                            break;
-                        }
+                    if !mem.offer(req, &mut self.side_memo) {
+                        break;
                     }
+                    self.side_queue.pop_front();
+                    self.admitted(PendingPush { req, is_fill }, owner);
                 }
                 SideEntry::PfCandidate { addr, core } => {
                     self.side_queue.pop_front();
@@ -610,6 +1094,7 @@ impl SimSystem {
                         cache_sim::cache::LineStatus::Valid => {
                             debug_assert!(self.prefetch_outstanding > 0);
                             self.prefetch_outstanding -= 1;
+                            continue;
                         }
                         // A demand miss won the race and the fill is in
                         // flight. The paper's architecture keeps its
@@ -620,14 +1105,7 @@ impl SimSystem {
                         // absorbs it as a duplicate subentry (Sec 2.2.1)
                         // and the stock controller pays for a redundant
                         // fetch.
-                        cache_sim::cache::LineStatus::Filling => {
-                            let id = self.alloc_raw();
-                            let mut req = MemRequest::miss(id, addr, Op::Load, core, self.now);
-                            req.data_bytes = CACHE_LINE_BYTES as u32;
-                            self.prefetches_issued += 1;
-                            self.side_queue
-                                .push_front(SideEntry::Ready(req, Owner::Prefetch, true));
-                        }
+                        cache_sim::cache::LineStatus::Filling => {}
                         cache_sim::cache::LineStatus::Absent => {
                             // The fill may still be refused when every
                             // way of the set is mid-fill; drop then.
@@ -637,18 +1115,17 @@ impl SimSystem {
                                 continue;
                             };
                             if let Some(wb) = victim {
-                                self.enqueue_writeback(wb);
+                                self.enqueue_writeback(wb, now);
                             }
-                            let id = self.alloc_raw();
-                            let mut req = MemRequest::miss(id, addr, Op::Load, core, self.now);
-                            req.data_bytes = CACHE_LINE_BYTES as u32;
-                            self.prefetches_issued += 1;
                             // The fill is now reserved in the LLC; the
                             // request must eventually be admitted.
-                            self.side_queue
-                                .push_front(SideEntry::Ready(req, Owner::Prefetch, true));
                         }
                     }
+                    let id = self.alloc_raw();
+                    let mut req = MemRequest::miss(id, addr, Op::Load, core, now);
+                    req.data_bytes = CACHE_LINE_BYTES as u32;
+                    self.prefetches_issued += 1;
+                    self.side_queue.push_front(SideEntry::Ready(req, Owner::Prefetch, true));
                 }
             }
         }
@@ -657,12 +1134,11 @@ impl SimSystem {
     /// Feed the core's stream table with an L2-level access (any L1
     /// miss) and issue LLC prefetch fills to stay `prefetch_degree`
     /// lines ahead of each detected sequential stream.
-    fn maybe_prefetch(&mut self, core: usize, line: u64) {
-        let degree = self.cfg.prefetch_degree as u64;
+    fn maybe_prefetch(&mut self, cfg: &SimConfig, now: Cycle, core: usize, line: u64) {
+        let degree = cfg.prefetch_degree as u64;
         if degree == 0 {
             return;
         }
-        let now = self.now;
         let st = &mut self.strides[core];
         let hit = st.entries.iter().position(|e| e.next_line == line && e.streak > 0)
             .or_else(|| st.entries.iter().position(|e| e.next_line == line));
@@ -699,7 +1175,7 @@ impl SimSystem {
         // 4KB page boundary — the next physical frame belongs to an
         // unrelated page (hardware prefetchers stop here for the same
         // reason).
-        let row = self.cfg.active_row_bytes();
+        let row = cfg.active_row_bytes();
         let page_last_line = line_base(line | (PAGE_BYTES - 1));
         // Last line of the row containing the lookahead point.
         let target = ((line + degree * CACHE_LINE_BYTES) / row * row + row - CACHE_LINE_BYTES)
@@ -712,7 +1188,7 @@ impl SimSystem {
         let mut n_issued = 0usize;
         while next <= target
             && n_issued < issued.len()
-            && self.prefetch_outstanding < self.cfg.prefetch_max_outstanding
+            && self.prefetch_outstanding < cfg.prefetch_max_outstanding
         {
             issued[n_issued] = next;
             n_issued += 1;
@@ -725,74 +1201,53 @@ impl SimSystem {
         }
     }
 
-    fn issue_core_access(&mut self, c: usize) {
+    fn issue_core_access(&mut self, mem: &mut MemorySide, c: usize) {
+        let now = mem.now;
         // Replay a refused push first.
         if let Some(pending) = self.cores[c].retry.take() {
-            let refused_at = self.cores[c].refused_at;
-            self.admit_core(c, pending, refused_at);
+            self.admit_core(mem, c, pending);
             return;
         }
 
         let mut access = self.cores[c].take_access();
         if let Some(mmu) = &mut self.mmu {
             if access.kind != RequestKind::Fence {
-                let t = mmu.translate(self.cores[c].process, access.addr, self.now);
+                let t = mmu.translate(self.cores[c].process, access.addr, now);
                 access.addr = t.paddr;
                 if t.penalty > 0 {
                     // The page walk delays the core's next issue.
-                    self.cores[c].ready_at = self.now + t.penalty;
+                    self.cores[c].ready_at = now + t.penalty;
                 }
             }
         }
         match access.kind {
             RequestKind::Fence => {
-                // Fences always enter (they only flush stage 1). Record
-                // them in the captured trace so replay drives the same
+                // Fences always enter (they only flush stage 1). The
+                // captured trace records them so replay drives the same
                 // flush points.
                 let id = self.alloc_raw();
-                let mut req = MemRequest::miss(id, 0, Op::Load, c as u8, self.now);
+                let mut req = MemRequest::miss(id, 0, Op::Load, c as u8, now);
                 req.kind = RequestKind::Fence;
-                let predicted =
-                    self.oracle.is_some() && self.coalescer.would_accept(&req);
-                let accepted = self.coalescer.push_raw(req, self.now);
-                if let Some(o) = &mut self.oracle {
-                    o.note_push(&req, predicted, accepted, self.now);
-                    // A fence must leave stage 1 empty behind it.
-                    if let Some(streams) = self.coalescer.stage1_occupancy() {
-                        o.note_fence(streams, self.now);
-                    }
-                }
-                if let Some(t) = &mut self.trace {
-                    if t.len() < self.trace_cap {
-                        t.push(TraceEntry {
-                            cycle: self.now,
-                            addr: 0,
-                            op: Op::Load,
-                            kind: RequestKind::Fence,
-                            data_bytes: 0,
-                            core: c as u8,
-                        });
-                    }
-                }
-                self.cores[c].charge(self.now, 1);
+                req.data_bytes = 0;
+                mem.offer(req, &mut RefusalMemo::default());
+                self.cores[c].charge(now, 1);
             }
             RequestKind::Atomic => {
-                self.tracer.emit(self.now, EventClass::Core, || EventKind::CoreIssue {
+                mem.tracer.emit(now, EventClass::Core, || EventKind::CoreIssue {
                     core: c as u32,
                     addr: access.addr,
                     is_store: access.op == Op::Store,
                 });
                 let id = self.alloc_raw();
-                let mut req =
-                    MemRequest::miss(id, access.addr, access.op, c as u8, self.now);
+                let mut req = MemRequest::miss(id, access.addr, access.op, c as u8, now);
                 req.kind = RequestKind::Atomic;
                 req.data_bytes = access.data_bytes;
-                self.admit_core(c, PendingPush { req, is_fill: false }, None);
+                self.admit_core(mem, c, PendingPush { req, is_fill: false });
             }
             RequestKind::Miss | RequestKind::WriteBack => {
                 let is_write = access.op == Op::Store;
                 let line = line_base(access.addr);
-                self.tracer.emit(self.now, EventClass::Core, || EventKind::CoreIssue {
+                mem.tracer.emit(now, EventClass::Core, || EventKind::CoreIssue {
                     core: c as u32,
                     addr: access.addr,
                     is_store: is_write,
@@ -800,35 +1255,35 @@ impl SimSystem {
                 match self.hierarchy.access(c, access.addr, is_write) {
                     HierarchyOutcome::L1Hit => {
                         self.cores[c].stats.l1_hits += 1;
-                        self.cores[c].charge(self.now, 1);
-                        self.tracer.emit(self.now, EventClass::Core, || EventKind::L1Hit {
+                        self.cores[c].charge(now, 1);
+                        mem.tracer.emit(now, EventClass::Core, || EventKind::L1Hit {
                             core: c as u32,
                             addr: access.addr,
                         });
                     }
                     HierarchyOutcome::L2Hit { writeback } => {
                         self.cores[c].stats.l2_hits += 1;
-                        self.tracer.emit(self.now, EventClass::Core, || EventKind::L2Hit {
+                        mem.tracer.emit(now, EventClass::Core, || EventKind::L2Hit {
                             core: c as u32,
                             addr: access.addr,
                         });
                         if let Some(wb) = writeback {
-                            self.enqueue_writeback(wb);
+                            self.enqueue_writeback(wb, now);
                         }
                         let lat = self.hierarchy.l2_latency();
-                        self.cores[c].charge(self.now, lat);
+                        self.cores[c].charge(now, lat);
                         // Sequential L2 hits keep prefetch streams alive
                         // (they are usually hits *on* prefetched lines).
-                        self.maybe_prefetch(c, line);
+                        self.maybe_prefetch(&mem.cfg, now, c, line);
                     }
-                    HierarchyOutcome::Miss { pending: dup, writebacks } => {
+                    HierarchyOutcome::Miss { writebacks, .. } => {
                         self.cores[c].stats.misses += 1;
-                        self.tracer.emit(self.now, EventClass::Core, || EventKind::CacheMiss {
+                        mem.tracer.emit(now, EventClass::Core, || EventKind::CacheMiss {
                             core: c as u32,
                             addr: access.addr,
                         });
                         for wb in writebacks.into_iter().flatten() {
-                            self.enqueue_writeback(wb);
+                            self.enqueue_writeback(wb, now);
                         }
                         // Write-allocate: a store miss fetches the line
                         // like a load; the dirty data returns to memory
@@ -837,28 +1292,27 @@ impl SimSystem {
                         // line when they complete — their completion
                         // implies the covering fetch returned.
                         let id = self.alloc_raw();
-                        let mut req = MemRequest::miss(id, access.addr, Op::Load, c as u8, self.now);
+                        let mut req = MemRequest::miss(id, access.addr, Op::Load, c as u8, now);
                         req.data_bytes = access.data_bytes;
-                        let _ = dup;
-                        self.admit_core(c, PendingPush { req, is_fill: true }, None);
-                        self.maybe_prefetch(c, line);
+                        self.admit_core(mem, c, PendingPush { req, is_fill: true });
+                        self.maybe_prefetch(&mem.cfg, now, c, line);
                     }
                 }
             }
         }
     }
+}
 
-    /// Advance the whole system by one cycle.
-    fn tick(&mut self) {
-        let now = self.now;
-
+impl FrontEnd for Cores {
+    fn issue(&mut self, mem: &mut MemorySide) {
+        let now = mem.now;
         // Tell the controller how deep the miss/WB queues run before
         // offering anything (Fig 3 gives it that visibility), then
         // drain the queued write-backs and prefetch fills — they sit in
         // the miss/WB queues of Fig 3, ahead of this cycle's new core
         // accesses.
-        self.coalescer.hint_pending(self.side_queue.len());
-        self.drain_side_queue();
+        mem.hint_pending(self.side_queue.len());
+        self.drain_side_queue(mem);
 
         // Cores issue, in ascending index order either way.
         match self.core_mask.take() {
@@ -868,324 +1322,68 @@ impl SimSystem {
                     let c = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     debug_assert!(self.cores[c].can_issue(now));
-                    self.issue_core_access(c);
+                    self.issue_core_access(mem, c);
                 }
             }
             None => {
                 for c in 0..self.cores.len() {
                     if self.cores[c].can_issue(now) {
-                        self.issue_core_access(c);
-                    }
-                }
-            }
-        }
-
-        // Coalescer pipeline advances; dispatches go to the HMC.
-        self.coalescer.tick(now, &mut self.dispatches);
-        for d in self.dispatches.drain(..) {
-            if let Some(o) = &mut self.oracle {
-                o.note_dispatch(&d, now);
-            }
-            if let Some(rec) = &mut self.recovery {
-                // Sequence-tag the transaction; the watchdog now owns it
-                // until exactly one clean response is delivered.
-                rec.note_dispatch(d.dispatch_id, d.addr, d.bytes, d.op, now);
-            }
-            self.mem.submit(
-                HmcRequest { id: d.dispatch_id, addr: d.addr, bytes: d.bytes, op: d.op },
-                now,
-            );
-        }
-
-        // Memory advances; responses release MSHRs, fill the LLC, and
-        // unblock cores.
-        self.mem.tick(now);
-        self.mem.pop_responses(now, &mut self.responses);
-        for rsp in self.responses.drain(..) {
-            // The recovery layer screens every response before the
-            // oracle or the coalescer can see it: duplicates and
-            // poisoned echoes must vanish here for the oracle to stay
-            // silent on repaired runs.
-            if let Some(rec) = &mut self.recovery {
-                match rec.filter_response(&rsp, now) {
-                    ResponseVerdict::Deliver => {}
-                    ResponseVerdict::Duplicate { seq } => {
-                        self.tracer.emit(now, EventClass::Diagnostic, || {
-                            EventKind::DuplicateDropped { seq, id: rsp.id }
-                        });
-                        continue;
-                    }
-                    ResponseVerdict::Poison { seq, expected_addr, bytes, op, attempt, reissue } => {
-                        self.tracer.emit(now, EventClass::Diagnostic, || {
-                            EventKind::PoisonDetected {
-                                seq,
-                                id: rsp.id,
-                                echoed_addr: rsp.addr,
-                                expected_addr,
-                            }
-                        });
-                        if reissue {
-                            self.tracer.emit(now, EventClass::Diagnostic, || {
-                                EventKind::RetryIssued { seq, id: rsp.id, attempt }
-                            });
-                            // Same dispatch id: the clean response must
-                            // still release the original MSHR. The
-                            // oracle already saw this dispatch once, so
-                            // it is not re-noted.
-                            self.mem.submit(
-                                HmcRequest { id: rsp.id, addr: expected_addr, bytes, op },
-                                now,
-                            );
-                        }
-                        continue;
-                    }
-                }
-            }
-            self.satisfied.clear();
-            if let Some(o) = &mut self.oracle {
-                o.note_response(rsp.id, rsp.addr, rsp.bytes, rsp.op, now);
-            }
-            self.coalescer.complete(rsp.id, now, &mut self.satisfied);
-            if let Some(o) = &mut self.oracle {
-                o.note_completion(rsp.id, &self.satisfied, now);
-            }
-            for raw in self.satisfied.drain(..) {
-                if let Some(meta) = self.raw_meta.remove(&raw) {
-                    if meta.is_fill {
-                        self.hierarchy.fill_complete(meta.line);
-                    }
-                    match meta.owner {
-                        Owner::Core(core) => {
-                            let core = &mut self.cores[core as usize];
-                            debug_assert!(core.outstanding > 0);
-                            core.outstanding -= 1;
-                            // The returning data may wake a blocked core.
-                            core.ready_at = core.ready_at.max(now + 1);
-                        }
-                        Owner::Prefetch => {
-                            debug_assert!(self.prefetch_outstanding > 0);
-                            self.prefetch_outstanding -= 1;
-                        }
-                        Owner::WriteBack => {}
-                    }
-                }
-            }
-        }
-
-        // Watchdog pass: responses that arrived this cycle are already
-        // processed above, so only genuinely unanswered transactions
-        // can expire here. Retries resubmit under the original dispatch
-        // id (the oracle saw that dispatch once; it is not re-noted).
-        if let Some(rec) = &mut self.recovery {
-            self.recovery_actions.clear();
-            rec.collect_expired(now, &mut self.recovery_actions);
-            for act in self.recovery_actions.drain(..) {
-                match act {
-                    WatchdogAction::Retry { seq, id, addr, bytes, op, attempt } => {
-                        self.tracer.emit(now, EventClass::Diagnostic, || {
-                            EventKind::WatchdogFired { seq, id, attempt: attempt - 1 }
-                        });
-                        self.tracer
-                            .trigger_dump(now, DumpTrigger::Watchdog { seq, id, attempt: attempt - 1 });
-                        self.tracer.emit(now, EventClass::Diagnostic, || {
-                            EventKind::RetryIssued { seq, id, attempt }
-                        });
-                        self.mem.submit(HmcRequest { id, addr, bytes, op }, now);
-                    }
-                    WatchdogAction::Exhausted { seq, id, attempt } => {
-                        self.tracer.emit(now, EventClass::Diagnostic, || {
-                            EventKind::WatchdogFired { seq, id, attempt }
-                        });
-                        self.tracer.trigger_dump(now, DumpTrigger::Watchdog { seq, id, attempt });
-                    }
-                }
-            }
-        }
-        if self.recovery.as_ref().is_some_and(|r| r.has_stuck() && !r.aborted()) {
-            self.quiesce_abort(now);
-        }
-
-        // Structural invariants are polled continuously, not just at the
-        // run boundary — a transient overflow inside a burst must not
-        // escape because the structures drained before the end.
-        if let Some(o) = &mut self.oracle {
-            o.note_integrity(self.coalescer.integrity(), now);
-        }
-
-        if self.tracer.is_enabled() {
-            self.observe(now);
-        }
-
-        self.now = now + 1;
-    }
-
-    /// Tracer-only side channel, run once per tick when tracing is on:
-    /// samples the counter tracks on a fixed cadence and dumps the
-    /// flight-recorder window whenever the oracle records a violation
-    /// it has not seen before. Reads simulation state, never writes it.
-    fn observe(&mut self, now: Cycle) {
-        const COUNTER_SAMPLE_CYCLES: Cycle = 16;
-        if now == 0 || now >= self.last_counter_sample + COUNTER_SAMPLE_CYCLES {
-            self.last_counter_sample = now;
-            if let Some(g) = self.coalescer.gauges() {
-                self.tracer.counter(now, CounterKind::MaqDepth, g.maq_depth as u64);
-                self.tracer.counter(now, CounterKind::ActiveStreams, g.active_streams as u64);
-                self.tracer.counter(now, CounterKind::InflightMshrs, g.inflight_mshrs as u64);
-            }
-            self.tracer.counter(now, CounterKind::BankConflicts, self.mem.bank_conflicts());
-            // Per-cause issue-stall accounting, on backends that model
-            // named timing rules (HBM); the channel counters are
-            // always current mid-run.
-            if let Some(stalls) = self.mem.stall_cycles() {
-                self.tracer.counter(now, CounterKind::TccdLStallCycles, stalls.tccd_l);
-                self.tracer.counter(now, CounterKind::TfawStallCycles, stalls.tfaw);
-                self.tracer.counter(now, CounterKind::RefreshStallCycles, stalls.refresh);
-                self.tracer.counter(
-                    now,
-                    CounterKind::BankConflictStallCycles,
-                    stalls.bank_conflict,
-                );
-            }
-        }
-        if let Some(o) = &self.oracle {
-            let total = o.total_violations();
-            if total > self.seen_violations {
-                self.seen_violations = total;
-                let detail = o
-                    .latest_violation()
-                    .map(|v| format!("{}: {}", v.invariant.label(), v.detail))
-                    .unwrap_or_else(|| "violation past the recording cap".to_string());
-                self.tracer.emit(now, EventClass::Diagnostic, || EventKind::OracleViolation {
-                    detail: detail.clone(),
-                });
-                self.tracer.trigger_dump(now, DumpTrigger::OracleViolation { detail });
-            }
-        }
-    }
-
-    /// Quiesce/drain abort: retries are exhausted, so the run cannot
-    /// complete correctly — but it must not wedge either. Every
-    /// still-tracked transaction (live and stuck) is force-completed
-    /// through the coalescer, reclaiming its MSHR/stream and releasing
-    /// the owning core's outstanding window, prefetch slot, or LLC fill
-    /// reservation. The oracle is deliberately *not* fed these forced
-    /// completions: the data loss is real and its conservation
-    /// invariants should say so. The run loop then terminates with
-    /// `converged == false` and a [`RecoveryReport`] naming the stuck
-    /// sequence tags.
-    fn quiesce_abort(&mut self, now: Cycle) {
-        let ids = self.recovery.as_mut().expect("quiesce without recovery layer").drain_for_abort();
-        for id in ids {
-            self.satisfied.clear();
-            self.coalescer.complete(id, now, &mut self.satisfied);
-            for raw in self.satisfied.drain(..) {
-                if let Some(meta) = self.raw_meta.remove(&raw) {
-                    if meta.is_fill {
-                        self.hierarchy.fill_complete(meta.line);
-                    }
-                    match meta.owner {
-                        Owner::Core(core) => {
-                            let core = &mut self.cores[core as usize];
-                            debug_assert!(core.outstanding > 0);
-                            core.outstanding -= 1;
-                        }
-                        Owner::Prefetch => {
-                            debug_assert!(self.prefetch_outstanding > 0);
-                            self.prefetch_outstanding -= 1;
-                        }
-                        Owner::WriteBack => {}
+                        self.issue_core_access(mem, c);
                     }
                 }
             }
         }
     }
 
-    /// Whether the recovery layer ran its quiesce/drain abort.
-    fn recovery_aborted(&self) -> bool {
-        self.recovery.as_ref().is_some_and(|r| r.aborted())
-    }
-
-    fn all_done(&self) -> bool {
-        self.cores.iter().all(|c| c.finished())
-            && self.side_queue.is_empty()
-            && self.coalescer.is_drained()
-            && self.mem.is_idle()
-            && self.recovery.as_ref().is_none_or(|r| r.outstanding() == 0)
-    }
-
-    /// Jump the clock from `self.now` to the earliest cycle at which
-    /// anything outside the memory device can change, bulk-accounting
-    /// the cycles in between.
-    ///
-    /// Three kinds of cycle are jumpable. Genuinely idle cycles (no
-    /// component has an event) are free. Blocked-retry cycles — where
-    /// the only activity is the side-queue head and/or core retries
-    /// being offered and refused again — are skippable because refusal
-    /// is a pure function of coalescer state, and that state is frozen
-    /// until the next real event: the cycle-by-cycle reference would
-    /// refuse the identical offers once per cycle, mutating nothing but
-    /// the stall/comparator counters. Those per-cycle counter bumps are
-    /// applied in bulk via [`MemoryCoalescer::note_refused_retries`], so
-    /// metrics stay bit-identical to [`Stepping::EveryCycle`].
-    /// Device-only cycles — a vault or channel issue, a data-ready
-    /// hand-off to the return path — change nothing the rest of the
-    /// system reads until a response becomes poppable, so the device is
-    /// ticked alone through them ([`MemoryBackend::fast_forward`]).
-    ///
-    /// Called between ticks, when component state is settled — the
-    /// refusal predictions use [`MemoryCoalescer::would_accept`] against
-    /// the final state of the tick just executed, never a stale
-    /// observation from inside it. A refusal is recorded in the refusal
-    /// memo at the coalescer's admission epoch, and a request already
-    /// refused at the current epoch counts as blocked without asking
-    /// again. Component events are conservative lower bounds: an early
-    /// landing tick is a harmless no-op, while anything that would
-    /// *accept* an offer or change state pins the clock to the present.
-    ///
-    /// `clamp` caps the landing cycle (the caller's pause/limit
-    /// boundary): a jump never passes it, and at the boundary there is
-    /// no jump, so [`Self::advance`] pauses exactly on `stop_at` under
-    /// either stepping. The split bulk accounting ([now, clamp) here,
-    /// the rest after resuming) sums to the unclamped totals.
-    fn skip_to_next_event(&mut self, clamp: Cycle) {
-        let now = self.now;
-        self.core_mask = None;
-        if now >= clamp {
-            return;
+    /// Responses fill the LLC, release the owner's slot, and may wake
+    /// a blocked core.
+    fn complete(&mut self, raw: u64, now: Cycle) {
+        let Some(meta) = self.raw_meta.remove(&raw) else { return };
+        if meta.is_fill {
+            self.hierarchy.fill_complete(meta.line);
         }
-        let epoch = self.coalescer.admission_epoch();
-        // Offers the coming cycles would repeat: the side-queue head
-        // plus every core's pending retry. Any source whose offer would
-        // be accepted — or a prefetch candidate, which always makes
-        // progress — is real work *this* cycle: no jump.
-        self.blocked_scratch.clear();
+        match meta.owner {
+            Owner::Core(core) => {
+                let core = &mut self.cores[core as usize];
+                debug_assert!(core.outstanding > 0);
+                core.outstanding -= 1;
+                // The returning data may wake a blocked core.
+                core.ready_at = core.ready_at.max(now + 1);
+            }
+            Owner::Prefetch => {
+                debug_assert!(self.prefetch_outstanding > 0);
+                self.prefetch_outstanding -= 1;
+            }
+            Owner::WriteBack => {}
+        }
+    }
+
+    /// The side-queue head and every core's pending retry are the
+    /// offers the coming cycles would repeat. Any of them that would be
+    /// accepted — or a prefetch candidate, which always makes progress,
+    /// or a fresh access — is real work now.
+    fn next_wake(&mut self, mem: &MemorySide, blocked: &mut Vec<MemRequest>) -> Option<Cycle> {
+        let now = mem.now;
         match self.side_queue.front() {
             None => {}
             Some(&SideEntry::Ready(req, _, _)) => {
-                if self.side_refused != Some((req.id, epoch)) {
-                    if self.coalescer.would_accept(&req) {
-                        return;
-                    }
-                    self.side_refused = Some((req.id, epoch));
+                if !mem.stays_refused(&req, &mut self.side_memo) {
+                    return Some(now);
                 }
-                self.blocked_scratch.push(req);
+                blocked.push(req);
             }
-            Some(SideEntry::PfCandidate { .. }) => return,
+            Some(SideEntry::PfCandidate { .. }) => return Some(now),
         }
-        let mut best = u64::MAX;
         // Cores eligible the moment the jump lands: blocked retriers
         // (they re-offer at every jumped cycle and again at landing)
         // plus whichever cores' issue cycle IS the landing cycle.
         let mut blocked_mask = 0u64;
-        let mut best_core = u64::MAX;
+        let mut best_core = Cycle::MAX;
         let mut best_core_mask = 0u64;
-        let wide = self.cores.len() > 64;
-        for i in 0..self.cores.len() {
-            let core = &self.cores[i];
+        for (i, core) in self.cores.iter_mut().enumerate() {
             match core.next_issue_cycle(now) {
                 None => {}
                 Some(c) if c > now => {
-                    best = best.min(c);
                     if c < best_core {
                         best_core = c;
                         best_core_mask = 1 << (i & 63);
@@ -1194,68 +1392,66 @@ impl SimSystem {
                     }
                 }
                 Some(_) => {
-                    // A fresh access is real work this cycle.
-                    let Some(p) = core.retry else { return };
-                    if core.refused_at != Some(epoch) {
-                        if self.coalescer.would_accept(&p.req) {
-                            return;
-                        }
-                        self.cores[i].refused_at = Some(epoch);
+                    let Some(p) = core.retry else { return Some(now) };
+                    if !mem.stays_refused(&p.req, &mut core.memo) {
+                        return Some(now);
                     }
-                    self.blocked_scratch.push(p.req);
+                    blocked.push(p.req);
                     blocked_mask |= 1 << (i & 63);
                 }
             }
         }
-        if let Some(c) = self.coalescer.next_event(now) {
-            if c <= now {
-                return;
-            }
-            best = best.min(c);
-        }
-        // Watchdog deadlines are real events: a jump past one would
-        // fire the retry late and (on delay-class runs) let the oracle's
-        // latency bound trip before the repair lands.
-        if let Some(c) = self.recovery.as_mut().and_then(|r| r.next_deadline()) {
-            if c <= now {
-                return;
-            }
-            best = best.min(c);
-        }
-        // Everything but the device is settled until `best`: tick the
-        // device alone up to its first event visible outside it (a
-        // response to pop), never at or past `best` or `clamp`.
-        if let Some(c) = self.mem.fast_forward(now, best.min(clamp)) {
-            if c <= now {
-                return;
-            }
-            best = best.min(c);
-        }
-        if best == u64::MAX {
-            // Quiescent with the clock pinned: if work remains in
-            // flight the run loop's convergence assert trips rather
-            // than spinning silently.
-            return;
-        }
-        let best = best.min(clamp);
-        // Cycles [now, best) would each re-offer every blocked request
-        // exactly once and be refused; account those offers and jump.
-        let n = best - now;
-        for i in 0..self.blocked_scratch.len() {
-            let req = self.blocked_scratch[i];
-            self.coalescer.note_refused_retries(&req, now, n);
-        }
-        if !wide {
-            let mask =
-                if best == best_core { blocked_mask | best_core_mask } else { blocked_mask };
-            self.core_mask = Some(mask);
-        }
-        self.now = best;
+        self.landing = (blocked_mask, best_core, best_core_mask);
+        (best_core != Cycle::MAX).then_some(best_core)
     }
 
-    /// Prefetch fills issued over the run.
-    pub fn prefetches_issued(&self) -> u64 {
-        self.prefetches_issued
+    fn jumped(&mut self, _from: Cycle, to: Cycle) {
+        if self.cores.len() <= 64 {
+            let (blocked_mask, best_core, best_core_mask) = self.landing;
+            let mask = if to == best_core { blocked_mask | best_core_mask } else { blocked_mask };
+            self.core_mask = Some(mask);
+        }
+    }
+
+    fn exhausted(&self) -> bool {
+        self.cores.iter().all(|c| c.remaining == 0)
+    }
+
+    fn done(&self) -> bool {
+        self.cores.iter().all(|c| c.finished()) && self.side_queue.is_empty()
+    }
+}
+
+impl SimSystem {
+    pub fn new(cfg: SimConfig, specs: Vec<CoreSpec>, kind: CoalescerKind) -> Self {
+        Self::with_options(cfg, specs, kind, false, false, Stepping::from_env())
+    }
+
+    /// `capture_trace` retains the raw miss stream (Figs 2/8/9);
+    /// `trace_occupancy` retains PAC's stream-occupancy samples (Fig 11b);
+    /// `stepping` selects the clock-advance policy (metrics are identical
+    /// either way, only wall-clock differs).
+    pub fn with_options(
+        cfg: SimConfig,
+        specs: Vec<CoreSpec>,
+        kind: CoalescerKind,
+        capture_trace: bool,
+        trace_occupancy: bool,
+        stepping: Stepping,
+    ) -> Self {
+        assert!(!specs.is_empty());
+        if let Err(e) = cfg.validate() {
+            panic!("invalid SimConfig: {e}");
+        }
+        let mut mem = MemorySide::new(cfg, kind, trace_occupancy, stepping, 0);
+        mem.capture = capture_trace.then(Vec::new);
+        System::assemble(Cores::new(&cfg, specs), mem)
+    }
+
+    /// Enable virtual memory: workload addresses become virtual and
+    /// translate through `mmu` (scattered frames, TLB penalties).
+    pub fn set_mmu(&mut self, mmu: pac_vm::Mmu) {
+        self.front.mmu = Some(mmu);
     }
 
     /// Arm a run: load each core's access budget and compute the
@@ -1265,86 +1461,50 @@ impl SimSystem {
     /// case. A system restored from a checkpoint must NOT call this:
     /// the budget, flush flag, and bound are part of the snapshot.
     pub fn begin_run(&mut self, accesses_per_core: u64) {
-        for c in &mut self.cores {
+        for c in &mut self.front.cores {
             c.remaining = accesses_per_core;
         }
-        self.run_limit = accesses_per_core
-            .saturating_mul(self.cores.len() as u64)
+        self.mem.run_limit = accesses_per_core
+            .saturating_mul(self.front.cores.len() as u64)
             .saturating_mul(2000)
             .max(10_000_000);
-        self.flushed = false;
-    }
-
-    /// Drive the run loop until it drains, aborts, reaches
-    /// `cycle_limit`, or reaches `stop_at`. The `Paused` return leaves
-    /// the system between ticks — the checkpoint-safe boundary where
-    /// every per-tick scratch buffer is drained — so the caller can
-    /// [`Self::save_state`] and later continue (here or in a restored
-    /// process) with another `advance` call, bit-identically to a run
-    /// that never stopped.
-    pub fn advance(&mut self, cycle_limit: Cycle, stop_at: Cycle) -> RunProgress {
-        while !self.all_done() {
-            if self.now >= cycle_limit {
-                return RunProgress::CycleLimit;
-            }
-            if self.now >= stop_at {
-                return RunProgress::Paused;
-            }
-            self.tick();
-            if self.recovery_aborted() {
-                // Quiesce/drain ran: structures are reclaimed and the
-                // run is over. Metrics are still collected — the
-                // RecoveryReport carries the verdict.
-                return RunProgress::Aborted;
-            }
-            if !self.flushed && self.cores.iter().all(|c| c.remaining == 0) {
-                // End of the instruction streams: flush stragglers out
-                // of stage 1 so the drain terminates promptly.
-                self.coalescer.flush(self.now);
-                self.flushed = true;
-            }
-            if self.stepping == Stepping::SkipAhead {
-                // `tick` already advanced `now` by one; jump the clock
-                // over idle and blocked-retry cycles from there, never
-                // past the caller's pause or cycle-limit boundary.
-                self.skip_to_next_event(stop_at.min(cycle_limit));
-            }
-        }
-        RunProgress::Done
+        self.mem.flushed = false;
     }
 
     /// Settle end-of-run statistics and collect the metrics. Call once,
     /// after [`Self::advance`] returns a terminal (non-`Paused`) state.
     pub fn finish_run(&mut self) -> RunMetrics {
         self.finalize_run();
-        RunMetrics::collect(self)
+        let mut m = self.memory_metrics();
+        m.l1_hit_rate = self.front.hierarchy.l1_hit_rate();
+        m.l2_hit_rate = self.front.hierarchy.l2_hit_rate();
+        m.prefetches = self.front.prefetches_issued;
+        m
     }
 
     /// Run each core for `accesses_per_core` accesses and drain.
     pub fn run(&mut self, accesses_per_core: u64) -> RunMetrics {
         self.begin_run(accesses_per_core);
-        let progress = self.advance(self.run_limit, Cycle::MAX);
+        let progress = self.advance(self.run_limit(), Cycle::MAX);
         assert!(
             progress != RunProgress::CycleLimit,
             "simulation failed to converge by cycle {}",
-            self.now
+            self.now()
         );
         self.finish_run()
     }
 
-    /// End-of-run bookkeeping shared by [`Self::run`] and
-    /// [`Self::run_until`]: settle component statistics, fold the
-    /// recovery counters into the coalescer's record, finalize the
-    /// oracle's conservation invariants.
-    fn finalize_run(&mut self) {
-        self.mem.finalize_stats();
-        self.coalescer.finalize_stats();
-        if let Some(rec) = &self.recovery {
-            rec.fold_into(self.coalescer.stats_mut());
-        }
-        if let Some(o) = &mut self.oracle {
-            o.finalize(self.now);
-        }
+    /// Like [`Self::run`], but bounded: gives up (without panicking)
+    /// once the clock reaches `cycle_limit`. Fault-conformance runs need
+    /// this — a dropped response wedges the drain forever, and the point
+    /// is to let the oracle's end-of-run conservation invariants report
+    /// the loss rather than die on the convergence assert. Returns
+    /// `true` when the system actually drained.
+    pub fn run_until(&mut self, accesses_per_core: u64, cycle_limit: Cycle) -> bool {
+        self.begin_run(accesses_per_core);
+        let progress = self.advance(cycle_limit, Cycle::MAX);
+        self.finalize_run();
+        progress == RunProgress::Done
     }
 
     /// Serialize the complete simulation state into a framed,
@@ -1361,38 +1521,39 @@ impl SimSystem {
     /// are refused with [`pac_types::SnapError::Unsupported`].
     pub fn save_state(&self, meta: &str) -> Result<Vec<u8>, pac_types::SnapError> {
         use pac_types::Snapshot;
-        if self.mmu.is_some() {
+        let (f, m) = (&self.front, &self.mem);
+        if f.mmu.is_some() {
             return Err(pac_types::SnapError::Unsupported(
                 "MMU-enabled systems do not checkpoint (TLB and page-table state)".into(),
             ));
         }
         let mut w = pac_types::SnapWriter::new();
-        self.cfg.save(&mut w);
-        self.kind.save(&mut w);
-        self.stepping.save(&mut w);
-        self.cores.len().save(&mut w);
-        for c in &self.cores {
+        m.cfg.save(&mut w);
+        m.kind.save(&mut w);
+        m.stepping.save(&mut w);
+        f.cores.len().save(&mut w);
+        for c in &f.cores {
             c.save_snapshot(&mut w);
         }
-        self.hierarchy.save(&mut w);
-        self.coalescer.save_state(&mut w);
-        self.mem.save_state(&mut w);
-        self.now.save(&mut w);
-        self.next_raw.save(&mut w);
-        self.raw_meta.save(&mut w);
-        self.side_queue.save(&mut w);
-        self.strides.save(&mut w);
-        self.prefetch_outstanding.save(&mut w);
-        self.prefetches_issued.save(&mut w);
-        self.oracle.save(&mut w);
-        self.recovery.save(&mut w);
-        self.trace.save(&mut w);
-        self.trace_cap.save(&mut w);
-        self.last_counter_sample.save(&mut w);
-        self.seen_violations.save(&mut w);
-        self.core_mask.save(&mut w);
-        self.flushed.save(&mut w);
-        self.run_limit.save(&mut w);
+        f.hierarchy.save(&mut w);
+        m.coalescer.save_state(&mut w);
+        m.backend.save_state(&mut w);
+        m.now.save(&mut w);
+        f.next_raw.save(&mut w);
+        f.raw_meta.save(&mut w);
+        f.side_queue.save(&mut w);
+        f.strides.save(&mut w);
+        f.prefetch_outstanding.save(&mut w);
+        f.prefetches_issued.save(&mut w);
+        m.oracle.save(&mut w);
+        m.recovery.save(&mut w);
+        m.capture.save(&mut w);
+        m.capture_cap.save(&mut w);
+        m.last_counter_sample.save(&mut w);
+        m.seen_violations.save(&mut w);
+        f.core_mask.save(&mut w);
+        m.flushed.save(&mut w);
+        m.run_limit.save(&mut w);
         Ok(pac_types::frame(meta, &w.into_bytes()))
     }
 
@@ -1445,136 +1606,61 @@ impl SimSystem {
         };
         // The device backend is keyed by the configuration read above,
         // same dispatch discipline as the coalescer.
-        let mem = pac_mem::load_backend(&cfg, &mut r)?;
+        let backend = pac_mem::load_backend(&cfg, &mut r)?;
+        // The rest loads in checkpoint order (a struct literal evaluates
+        // its fields as written).
         let now = Cycle::load(&mut r)?;
-        let next_raw = u64::load(&mut r)?;
-        let raw_meta = HashMap::<u64, RawMeta, IdHash>::load(&mut r)?;
-        let side_queue = VecDeque::<SideEntry>::load(&mut r)?;
-        let strides = Vec::<StrideState>::load(&mut r)?;
-        let prefetch_outstanding = usize::load(&mut r)?;
-        let prefetches_issued = u64::load(&mut r)?;
-        let oracle = Option::<LockstepChecker>::load(&mut r)?;
-        let recovery = Option::<RecoveryLayer>::load(&mut r)?;
-        let trace = Option::<Vec<TraceEntry>>::load(&mut r)?;
-        let trace_cap = usize::load(&mut r)?;
-        let last_counter_sample = Cycle::load(&mut r)?;
-        let seen_violations = u64::load(&mut r)?;
-        let core_mask = Option::<u64>::load(&mut r)?;
-        let flushed = bool::load(&mut r)?;
-        let run_limit = Cycle::load(&mut r)?;
-        r.finish()?;
-        Ok(SimSystem {
-            cfg,
-            kind,
+        let mut front = Cores {
             cores,
             hierarchy,
-            coalescer,
-            mem,
-            now,
-            next_raw,
-            raw_meta,
-            side_queue,
-            side_refused: None,
-            strides,
-            prefetch_outstanding,
-            prefetches_issued,
+            next_raw: u64::load(&mut r)?,
+            raw_meta: HashMap::<u64, RawMeta, IdHash>::load(&mut r)?,
+            side_queue: VecDeque::<SideEntry>::load(&mut r)?,
+            side_memo: RefusalMemo::default(),
+            strides: Vec::<StrideState>::load(&mut r)?,
+            prefetch_outstanding: usize::load(&mut r)?,
+            prefetches_issued: u64::load(&mut r)?,
             mmu: None,
-            oracle,
-            recovery,
-            trace,
-            trace_cap,
+            core_mask: None,
+            landing: (0, Cycle::MAX, 0),
+        };
+        let mut mem = MemorySide {
+            cfg,
+            kind,
+            coalescer,
+            backend,
+            now,
+            oracle: Option::<LockstepChecker>::load(&mut r)?,
+            recovery: Option::<RecoveryLayer>::load(&mut r)?,
+            capture: Option::<Vec<TraceEntry>>::load(&mut r)?,
+            capture_cap: usize::load(&mut r)?,
             tracer: TraceHandle::disabled(),
-            last_counter_sample,
-            seen_violations,
+            last_counter_sample: Cycle::load(&mut r)?,
+            seen_violations: u64::load(&mut r)?,
             stepping,
             dispatches: Vec::new(),
             responses: Vec::new(),
             satisfied: Vec::new(),
-            blocked_scratch: Vec::new(),
             recovery_actions: Vec::new(),
-            core_mask,
-            flushed,
-            run_limit,
-        })
-    }
-
-    /// Like [`Self::run`], but bounded: gives up (without panicking)
-    /// once the clock reaches `cycle_limit`. Fault-conformance runs need
-    /// this — a dropped response wedges the drain forever, and the point
-    /// is to let the oracle's end-of-run conservation invariants report
-    /// the loss rather than die on the convergence assert. Returns
-    /// `true` when the system actually drained.
-    pub fn run_until(&mut self, accesses_per_core: u64, cycle_limit: Cycle) -> bool {
-        self.begin_run(accesses_per_core);
-        let progress = self.advance(cycle_limit, Cycle::MAX);
-        self.finalize_run();
-        progress == RunProgress::Done
-    }
-
-    // ---- accessors for metrics collection ----
-
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Convergence bound computed by [`Self::begin_run`] (or restored
-    /// from a checkpoint). The cycle limit [`Self::run`] enforces.
-    pub fn run_limit(&self) -> Cycle {
-        self.run_limit
-    }
-
-    pub fn kind(&self) -> CoalescerKind {
-        self.kind
-    }
-
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    pub fn coalescer_stats(&self) -> &pac_core::CoalescerStats {
-        self.coalescer.stats()
-    }
-
-    /// Device transaction statistics (the name predates the second
-    /// backend; the stats shape is shared by all of them).
-    pub fn hmc_stats(&self) -> &hmc_sim::HmcStats {
-        self.mem.stats()
-    }
-
-    /// Device energy breakdown (shared event taxonomy across backends).
-    pub fn hmc_energy(&self) -> &hmc_sim::EnergyBreakdown {
-        self.mem.energy()
-    }
-
-    /// Which memory backend this system runs on.
-    pub fn backend(&self) -> pac_types::BackendKind {
-        self.mem.kind()
-    }
-
-    pub fn bank_conflicts(&self) -> u64 {
-        self.mem.bank_conflicts()
-    }
-
-    /// Per-cause issue-stall cycles from the backend, where the model
-    /// attributes them (HBM; `None` on HMC).
-    pub fn stall_cycles(&self) -> Option<pac_types::StallCycles> {
-        self.mem.stall_cycles()
-    }
-
-    pub fn hierarchy(&self) -> &CacheHierarchy {
-        &self.hierarchy
+            flushed: false,
+            run_limit: 0,
+        };
+        front.core_mask = Option::<u64>::load(&mut r)?;
+        mem.flushed = bool::load(&mut r)?;
+        mem.run_limit = Cycle::load(&mut r)?;
+        r.finish()?;
+        Ok(System::assemble(front, mem))
     }
 
     pub fn cores(&self) -> &[CoreState] {
-        &self.cores
+        &self.front.cores
     }
 
     /// The captured raw miss trace, if tracing was enabled.
     pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        self.trace.take().unwrap_or_default()
+        self.mem.capture.take().unwrap_or_default()
     }
 }
-
 /// Verdict of one oracle-checked run.
 #[derive(Debug)]
 pub struct LockstepOutcome {

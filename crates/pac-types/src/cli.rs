@@ -43,8 +43,12 @@ pub struct Args {
 }
 
 /// The process's arguments, without the program name: the one place
-/// the workspace's binaries read them.
+/// the workspace's binaries read them. It also restores SIGPIPE's
+/// default action ([`crate::sigwatch::default_sigpipe`]), so a binary
+/// whose stdout is closed early (`figures all | head -1`) ends quietly,
+/// killed by SIGPIPE (exit status 141 in a shell), never with a panic.
 pub fn argv() -> Vec<String> {
+    crate::sigwatch::default_sigpipe();
     std::env::args().skip(1).collect()
 }
 

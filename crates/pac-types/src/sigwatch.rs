@@ -10,7 +10,10 @@
 //! termination stays the kernel's job (SIGKILL), which the crash-safe
 //! journal in `pac-serve` is built to survive anyway.
 //!
-//! On non-unix targets both functions are no-ops and the flag never
+//! [`default_sigpipe`] gives SIGPIPE back its default action, so a
+//! binary whose stdout reader has gone ends quietly.
+//!
+//! On non-unix targets these functions are no-ops and the flag never
 //! trips.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,7 +27,8 @@ extern "C" fn handle(_signum: i32) {
 
 #[cfg(unix)]
 extern "C" {
-    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    /// `None` is `SIG_DFL`, the default action.
+    fn signal(signum: i32, handler: Option<extern "C" fn(i32)>) -> usize;
 }
 
 /// Latch SIGINT and SIGTERM into the process-wide stop flag. Safe to
@@ -34,9 +38,28 @@ pub fn install() {
     {
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
+        // SAFETY: `signal` is the C library's, called with valid signal
+        // numbers; `handle` only stores an atomic, which is
+        // async-signal-safe.
         unsafe {
-            signal(SIGINT, handle);
-            signal(SIGTERM, handle);
+            signal(SIGINT, Some(handle));
+            signal(SIGTERM, Some(handle));
+        }
+    }
+}
+
+/// Give SIGPIPE back its default action, which the Rust runtime sets
+/// to ignore: a write to a pipe whose reader has gone then ends the
+/// process by SIGPIPE, silently (shells report exit status 141),
+/// instead of failing the write and panicking in `println!`.
+pub fn default_sigpipe() {
+    #[cfg(unix)]
+    {
+        const SIGPIPE: i32 = 13;
+        // SAFETY: `signal` is the C library's, called with a valid
+        // signal number; `None` is SIG_DFL, so no handler runs.
+        unsafe {
+            signal(SIGPIPE, None);
         }
     }
 }
