@@ -67,7 +67,7 @@ use pac_types::cli::{self, Args, Flags};
 use pac_types::{BackendKind, RecoveryConfig, SimConfig};
 
 const USAGE: &str = "usage: conformance [--quick] [--recover | --ras | --diff | --gate | --bless] \
-                     [--backend hmc|hbm] [--threads N] [--progress <path|->]";
+                     [--backend hmc|hbm] [--threads N] [--progress <path>]";
 
 const FLAGS: Flags = Flags {
     switches: &["--quick", "--recover", "--ras", "--diff", "--gate", "--bless"],
@@ -75,32 +75,34 @@ const FLAGS: Flags = Flags {
     modes: &["--recover", "--ras", "--diff", "--gate", "--bless"],
 };
 
-/// The worker pool and memory backend the flags select.
-fn pool_and_backend(args: &Args) -> Result<(ParallelRunner, BackendKind), String> {
+/// The worker pool, memory backend and progress file the flags select.
+fn pool_backend_progress(
+    args: &Args,
+) -> Result<(ParallelRunner, BackendKind, Option<&str>), String> {
     args.positionals(..=0)?;
     let threads = args.int("--threads")?.unwrap_or(0);
     let backend = match args.value("--backend") {
         Some(v) => cli::lookup("backend", v, BackendKind::ALL, BackendKind::label)?,
         None => BackendKind::Hmc,
     };
-    Ok((ParallelRunner::new(threads), backend))
+    Ok((ParallelRunner::new(threads), backend, args.file("--progress")?))
 }
 
 fn main() {
     pac_types::sigwatch::install();
     let args = FLAGS.from_env(USAGE);
-    let (runner, backend) =
-        pool_and_backend(&args).unwrap_or_else(|e| cli::usage_exit(&e, USAGE));
+    let (runner, backend, progress) =
+        pool_backend_progress(&args).unwrap_or_else(|e| cli::usage_exit(&e, USAGE));
     let quick = args.has("--quick");
     let (recover, ras, diff) = (args.has("--recover"), args.has("--ras"), args.has("--diff"));
     if args.has("--bless") {
         run_bless(&runner);
         return;
     }
-    let progress = match args.value("--progress") {
+    let progress = match progress {
         None => ProgressSink::disabled(),
-        Some(arg) => ProgressSink::create(arg).unwrap_or_else(|e| {
-            eprintln!("--progress {arg}: {e}");
+        Some(path) => ProgressSink::create(path).unwrap_or_else(|e| {
+            eprintln!("--progress {path}: {e}");
             std::process::exit(2);
         }),
     };

@@ -5,7 +5,10 @@
 //! $ report a.jsonl b.jsonl                 # merge several campaigns
 //! $ report --json report.json progress.jsonl
 //! $ report --md report.md --prom report.prom progress.jsonl
-//! $ conformance --quick --progress - | report -
+//! $ conformance --quick --progress conf.jsonl   # stream to a file,
+//! $ tail -f conf.jsonl                          # watch it live,
+//! $ report conf.jsonl                           # then aggregate it
+//! $ report - < conf.jsonl                       # `-` reads stdin
 //! ```
 //!
 //! Ingests one or more progress streams (the versioned JSONL that every

@@ -32,9 +32,9 @@ use pac_workloads::Bench;
 use std::path::PathBuf;
 use std::time::Instant;
 
-const USAGE: &str = "usage:\n  trace [--quick] [--backend hmc|hbm] [--progress <path|->] \
+const USAGE: &str = "usage:\n  trace [--quick] [--backend hmc|hbm] [--progress <path>] \
                      <BENCH> <raw|mshr-dmc|pac> [out.json]\n  \
-                     trace [--quick] [--backend hmc|hbm] [--progress <path|->] --all \
+                     trace [--quick] [--backend hmc|hbm] [--progress <path>] --all \
                      [--threads <T>] [out-dir]\n  \
                      trace [--quick] [--backend hmc|hbm] --fault \
                      <drop-response|duplicate-response|delay-response|corrupt-addr> \
@@ -130,9 +130,9 @@ fn run(args: &Args) -> Result<(), BenchError> {
             out: pos.get(2).map(String::as_str),
         }
     };
-    let progress = match args.value("--progress") {
+    let progress = match args.file("--progress")? {
         None => ProgressSink::disabled(),
-        Some(arg) => ProgressSink::create(arg).map_err(|e| format!("--progress {arg}: {e}"))?,
+        Some(path) => ProgressSink::create(path).map_err(|e| format!("--progress {path}: {e}"))?,
     };
 
     match job {

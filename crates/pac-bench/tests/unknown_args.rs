@@ -41,6 +41,9 @@ const USAGE_ERRORS: &[(&str, &[&str], &[&str])] = &[
     (CONFORMANCE, &["--threads=x"], &["--threads: 'x' is not an integer"]),
     (CONFORMANCE, &["--threads=2", "--threads", "4"], &["'--threads' given twice"]),
     (CONFORMANCE, &["--quick=1"], &["'--quick' takes no value"]),
+    // The progress stream needs a file of its own: stdout carries the results.
+    (CONFORMANCE, &["--quick", "--progress", "-"], &["'--progress' takes a file path"]),
+    (TRACE, &["--quick", "--progress=-", "EP", "pac"], &["'--progress' takes a file path"]),
 ];
 
 fn sandbox(tag: &str) -> PathBuf {

@@ -8,7 +8,7 @@
 //!    simulation crates can accumulate them without depending on this
 //!    crate; this crate gives them a wire format and an aggregator.
 //! 2. **Live progress stream** — [`ProgressSink`] emits a versioned
-//!    JSONL event stream (`--progress <path|->` on every harness
+//!    JSONL event stream (`--progress <path>` on every harness
 //!    binary): cell lifecycle, exact histogram snapshots, worker
 //!    utilization, checkpoint/resume markers, ETA.
 //!    The sink mirrors the `TraceHandle` idiom: a disabled sink is an
@@ -28,10 +28,11 @@
 
 #![deny(missing_docs)]
 
-pub mod json;
 pub mod progress;
 pub mod report;
 
-pub use json::Json;
+/// The workspace's one JSON codec, re-exported for readers of progress
+/// streams that already depend on this crate.
+pub use pac_types::json;
 pub use progress::{CellId, PhaseTimer, ProgressSink, SharedBuf, PROGRESS_STREAM_VERSION};
 pub use report::CampaignReport;

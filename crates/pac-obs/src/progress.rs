@@ -1,13 +1,15 @@
 //! The live progress stream: a versioned JSONL event writer.
 //!
-//! Every harness binary takes `--progress <path|->` and threads the
-//! resulting [`ProgressSink`] through its run. The sink follows the
-//! `TraceHandle` zero-cost discipline: disabled is `None` behind one
-//! branch, and no event payload is formatted on the disabled path. The
-//! enabled sink is `Clone + Send + Sync` (an `Arc<Mutex<..>>`), so
-//! worker threads in a matrix fan-out emit cell events directly —
-//! lines interleave across workers but each line is written atomically
-//! under the lock.
+//! `conformance`, `trace` and `pac-serve` take `--progress <path>` and
+//! thread the resulting [`ProgressSink`] through their run. The stream
+//! always goes to a file: those binaries print their own results on
+//! stdout, so `-` is a usage error there
+//! ([`pac_types::cli::Args::file`]). The sink follows the `TraceHandle`
+//! zero-cost discipline: disabled is `None` behind one branch, and no
+//! event payload is formatted on the disabled path. The enabled sink is
+//! `Clone + Send + Sync` (an `Arc<Mutex<..>>`), so worker threads in a
+//! matrix fan-out emit cell events directly — lines interleave across
+//! workers but each line is written atomically under the lock.
 //!
 //! ## Wire format
 //!
@@ -35,8 +37,8 @@
 //! `campaign_start`; aggregators treat repeated starts as segment
 //! boundaries, never as errors.
 
-use crate::json::escape;
 use pac_trace::MetricsRegistry;
+use pac_types::json::escape;
 use pac_types::RunnerStats;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -124,31 +126,26 @@ impl ProgressSink {
         ProgressSink(None)
     }
 
-    /// Open `arg` for writing from scratch; `-` means stdout.
-    pub fn create(arg: &str) -> std::io::Result<ProgressSink> {
-        Self::open(arg, false)
+    /// Open the file `path` for writing from scratch.
+    pub fn create(path: &str) -> std::io::Result<ProgressSink> {
+        Self::open(path, false)
     }
 
-    /// Open `arg` for appending (resumed campaigns extend the stream
-    /// they started); `-` means stdout.
-    pub fn append(arg: &str) -> std::io::Result<ProgressSink> {
-        Self::open(arg, true)
+    /// Open the file `path` for appending (resumed campaigns extend the
+    /// stream they started).
+    pub fn append(path: &str) -> std::io::Result<ProgressSink> {
+        Self::open(path, true)
     }
 
-    fn open(arg: &str, append: bool) -> std::io::Result<ProgressSink> {
-        let out: Box<dyn Write + Send> = if arg == "-" {
-            Box::new(std::io::stdout())
+    fn open(path: &str, append: bool) -> std::io::Result<ProgressSink> {
+        let mut opts = std::fs::OpenOptions::new();
+        opts.create(true).write(true);
+        if append {
+            opts.append(true);
         } else {
-            let mut opts = std::fs::OpenOptions::new();
-            opts.create(true).write(true);
-            if append {
-                opts.append(true);
-            } else {
-                opts.truncate(true);
-            }
-            Box::new(opts.open(arg)?)
-        };
-        Ok(Self::to_writer(out))
+            opts.truncate(true);
+        }
+        Ok(Self::to_writer(Box::new(opts.open(path)?)))
     }
 
     /// Wrap an arbitrary writer (the in-memory path for tests).
@@ -405,8 +402,8 @@ impl PhaseTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
     use pac_trace::LatencyHistogram;
+    use pac_types::json::Json;
 
     fn lines(buf: &SharedBuf) -> Vec<Json> {
         buf.contents()

@@ -13,8 +13,8 @@
 //! precomputed, which is exactly what Prometheus' text format expects
 //! of a summary).
 
-use crate::json::{escape, Json};
 use pac_trace::{LatencyHistogram, MetricsRegistry};
+use pac_types::json::{escape, Json};
 use pac_types::{RunnerStats, WorkerStats};
 use std::fmt::Write as _;
 
@@ -88,7 +88,7 @@ impl CampaignReport {
     /// Ingest one stream line.
     pub fn ingest_line(&mut self, line: &str) -> Result<(), String> {
         self.lines += 1;
-        let ev = Json::parse(line)?;
+        let ev = Json::parse(line).map_err(|e| e.to_string())?;
         match ev.get("v").and_then(Json::as_u64) {
             Some(1) => {}
             Some(v) => return Err(format!("unsupported stream version {v}")),
@@ -561,6 +561,40 @@ mod tests {
         assert!(report.errors()[0].starts_with("killed.jsonl:2:"));
         // The good line still counted.
         assert!(report.render_json().contains("\"segments\": 1"));
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_one_error_and_reading_goes_on() {
+        let deep = format!(
+            "{{\"v\":1,\"ev\":\"metrics\",\"hists\":{}{}}}",
+            "[".repeat(40_000),
+            "]".repeat(40_000)
+        );
+        let start = "{\"v\":1,\"ev\":\"campaign_start\",\"bin\":\"t\",\"backend\":\"hmc\",\
+                     \"threads\":1,\"total\":1}";
+        let mut report = CampaignReport::new();
+        report.ingest_str(&format!("{deep}\n{start}\n"), "deep.jsonl");
+        assert_eq!(report.errors().len(), 1, "{:?}", report.errors());
+        assert!(report.errors()[0].starts_with("deep.jsonl:1:"), "{:?}", report.errors());
+        assert!(report.errors()[0].contains("nesting deeper than"), "{:?}", report.errors());
+        assert!(report.render_json().contains("\"segments\": 1"));
+    }
+
+    #[test]
+    fn non_finite_numbers_are_stream_errors_and_the_json_stays_valid() {
+        let phase = |seconds: &str| {
+            format!(
+                "{{\"v\":1,\"ev\":\"phase\",\"name\":\"clean_matrix\",\"seconds\":{seconds}}}\n"
+            )
+        };
+        let mut report = CampaignReport::new();
+        report.ingest_str(&(phase("1e999") + &phase("0.5")), "r.jsonl");
+        assert_eq!(report.errors().len(), 1, "{:?}", report.errors());
+        assert!(report.errors()[0].contains("not a finite"), "{:?}", report.errors());
+        let json = report.render_json();
+        let parsed = Json::parse(&json).expect("render_json writes valid JSON");
+        let phases = parsed.get("phases").and_then(|p| p.get("clean_matrix"));
+        assert_eq!(phases.and_then(Json::as_f64), Some(0.5), "{json}");
     }
 
     #[test]

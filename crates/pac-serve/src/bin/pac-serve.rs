@@ -1,12 +1,12 @@
 //! `pac-serve`: crash-safe campaign scheduler CLI.
 //!
 //! ```text
-//! pac-serve run    --spec <file> --state-dir <dir> [--progress <path|->]
+//! pac-serve run    --spec <file> --state-dir <dir> [--progress <path>]
 //!                  [--heartbeat-ms <N>] [--respawn-budget <N>]
-//! pac-serve resume --state-dir <dir> [--progress <path|->]
+//! pac-serve resume --state-dir <dir> [--progress <path>]
 //!                  [--heartbeat-ms <N>] [--respawn-budget <N>]
 //! pac-serve verify --state-dir <dir>
-//! pac-serve chaos  --spec <file> --state-dir <dir> [--progress <path|->]
+//! pac-serve chaos  --spec <file> --state-dir <dir> [--progress <path>]
 //!                  [--kills <N>] [--chaos-seed <S>]
 //! ```
 //!
@@ -31,12 +31,12 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
 const USAGE: &str = "usage:
-  pac-serve run    --spec <file> --state-dir <dir> [--progress <path|->]
+  pac-serve run    --spec <file> --state-dir <dir> [--progress <path>]
                    [--heartbeat-ms <N>] [--respawn-budget <N>]
-  pac-serve resume --state-dir <dir> [--progress <path|->]
+  pac-serve resume --state-dir <dir> [--progress <path>]
                    [--heartbeat-ms <N>] [--respawn-budget <N>]
   pac-serve verify --state-dir <dir>
-  pac-serve chaos  --spec <file> --state-dir <dir> [--progress <path|->]
+  pac-serve chaos  --spec <file> --state-dir <dir> [--progress <path>]
                    [--kills <N>] [--chaos-seed <S>]";
 
 /// Each subcommand accepts only the flags it uses.
@@ -75,7 +75,7 @@ fn parse_args() -> Result<Opts, String> {
         cmd,
         spec,
         state_dir: required("--state-dir")?,
-        progress: args.value("--progress").map(String::from),
+        progress: args.file("--progress")?.map(String::from),
         heartbeat_ms: args.int("--heartbeat-ms")?.unwrap_or(30_000),
         respawn_budget: args.int("--respawn-budget")?.unwrap_or(2),
         kills: args.int("--kills")?.unwrap_or(3),

@@ -42,7 +42,7 @@
 //! | `quarantine` | `cell`, `attempts`, `reason`                         |
 //! | `drain`      | `reason`, `done`                                     |
 
-use pac_obs::json::{escape, Json};
+use pac_types::json::{escape, Json};
 use pac_types::snapshot::fnv1a64;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -796,6 +796,20 @@ mod tests {
             let err = Record::parse_line(&line).unwrap_err();
             assert!(err.contains(name) && err.contains("out of range"), "{err}");
         }
+    }
+
+    #[test]
+    fn deeply_nested_records_are_refused() {
+        // The checksum holds, so only the reader's depth bound stands
+        // between this line and a stack overflow.
+        let payload = format!(
+            "\"ev\":\"drain\",\"reason\":\"r\",\"done\":0,\"x\":{}{}",
+            "[".repeat(40_000),
+            "]".repeat(40_000)
+        );
+        let line = format!("{{\"v\":1,\"ck\":\"{:016x}\",{payload}}}", fnv1a64(payload.as_bytes()));
+        let err = Record::parse_line(&line).unwrap_err();
+        assert!(err.contains("invalid JSON") && err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

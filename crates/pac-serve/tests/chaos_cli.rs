@@ -277,6 +277,10 @@ fn usage_errors_exit_2() {
             "--respawn-budget=1",
         ),
         (vec!["run", "--spec", &spec, "--state-dir", &state, "stray"], "stray"),
+        // The progress stream needs a file: stdout carries the results.
+        (vec!["run", "--spec", &spec, "--state-dir", &state, "--progress", "-"], "--progress"),
+        (vec!["resume", "--state-dir", &state, "--progress=-"], "--progress"),
+        (vec!["chaos", "--spec", &spec, "--state-dir", &state, "--progress", "-"], "--progress"),
     ] {
         let out = run(&args);
         let stderr = stderr_of(&out);

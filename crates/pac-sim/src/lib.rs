@@ -55,4 +55,3 @@ pub use replay::{replay, replay_served, replay_with};
 pub use system::{
     run_lockstep, CoalescerKind, LockstepOutcome, RunProgress, SimSystem, Stepping, TraceEntry,
 };
-pub use trace_json::TraceJsonError;

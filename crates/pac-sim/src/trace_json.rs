@@ -1,53 +1,25 @@
-//! Self-contained JSON (de)serialization for trace files.
+//! The trace interchange format: a JSON array of objects with `cycle`,
+//! `addr`, `op`, `kind`, `data_bytes`, and `core` fields, unchanged from
+//! the original serde-derived one.
 //!
-//! The interchange format is unchanged from the original serde-derived
-//! one — a JSON array of objects with `cycle`, `addr`, `op`, `kind`,
-//! `data_bytes`, and `core` fields — but the implementation is
-//! hand-rolled so the workspace carries no external serialization
-//! dependency. The parser accepts arbitrary key order and whitespace,
-//! so traces produced by external tools still load.
+//! The reader is a schema loop on the workspace's one JSON cursor
+//! ([`pac_types::json::Cursor`]); it builds no value tree, so a
+//! multi-megabyte capture is read in one pass. It accepts any key order,
+//! whitespace and standard string escapes, so traces produced by
+//! external tools still load.
 //!
-//! Malformed input never panics: every failure surfaces as a
-//! [`TraceJsonError`] naming the offending line and column, so a
-//! hand-edited or truncated trace file reports *where* it broke. Entry
-//! cycles must be non-decreasing, as replay's due window assumes and as
-//! captured traces are; an entry stamped before its predecessor is
-//! refused with an error naming it. A `core` or `data_bytes` value past
-//! its field's width (u8, u32) is refused too, never truncated.
+//! Malformed input never panics: every failure is a [`JsonError`]
+//! naming the offending line and column, so a hand-edited or truncated
+//! trace file reports *where* it broke. Entry cycles must be
+//! non-decreasing, as replay's due window assumes and as captured
+//! traces are; an entry stamped before its predecessor is refused with
+//! an error naming it. A `core` or `data_bytes` value past its field's
+//! width (u8, u32) is refused too, never truncated.
 
 use crate::system::TraceEntry;
+use pac_types::json::{Cursor, JsonError};
 use pac_types::{Op, RequestKind};
-use std::fmt;
 use std::fmt::Write as _;
-
-/// A parse failure, located in the source text.
-///
-/// `line` and `column` are 1-based and computed from the byte offset at
-/// error-construction time, so the cost is paid only on the failure
-/// path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceJsonError {
-    /// 1-based line of the offending byte.
-    pub line: usize,
-    /// 1-based column (byte within the line) of the offending byte.
-    pub column: usize,
-    /// Absolute byte offset of the error.
-    pub byte: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl fmt::Display for TraceJsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace json error at line {}, column {} (byte {}): {}",
-            self.line, self.column, self.byte, self.msg
-        )
-    }
-}
-
-impl std::error::Error for TraceJsonError {}
 
 /// Serialize a trace to the JSON interchange format.
 pub fn to_json(trace: &[TraceEntry]) -> String {
@@ -78,32 +50,14 @@ pub fn to_json(trace: &[TraceEntry]) -> String {
 }
 
 /// Parse a trace from the JSON interchange format.
-pub fn from_json(text: &str) -> Result<Vec<TraceEntry>, TraceJsonError> {
-    Parser { bytes: text.as_bytes(), pos: 0 }.parse_trace()
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn parse_trace(&mut self) -> Result<Vec<TraceEntry>, TraceJsonError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            self.skip_ws();
-            return if self.pos == self.bytes.len() {
-                Ok(out)
-            } else {
-                Err(self.err("trailing data after trace array"))
-            };
-        }
+pub fn from_json(text: &str) -> Result<Vec<TraceEntry>, JsonError> {
+    let mut cur = Cursor::new(text);
+    let mut out: Vec<TraceEntry> = Vec::new();
+    cur.expect(b'[')?;
+    if !cur.eat(b']') {
         loop {
-            self.skip_ws();
-            let start = self.pos;
-            let entry = self.parse_entry()?;
+            let at = cur.skip_ws();
+            let entry = entry(&mut cur)?;
             if let Some(prev) = out.last() {
                 if entry.cycle < prev.cycle {
                     let msg = format!(
@@ -114,161 +68,77 @@ impl Parser<'_> {
                         out.len() - 1,
                         prev.cycle
                     );
-                    return Err(self.err_at(start, &msg));
+                    return Err(cur.error_at(at, msg));
                 }
             }
             out.push(entry);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b']')?;
-            break;
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing data after trace array"));
-        }
-        Ok(out)
-    }
-
-    fn parse_entry(&mut self) -> Result<TraceEntry, TraceJsonError> {
-        self.expect(b'{')?;
-        let (mut cycle, mut addr, mut data_bytes, mut core) = (None, None, None, None);
-        let (mut op, mut kind) = (None, None);
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "cycle" => cycle = Some(self.parse_u64()?),
-                "addr" => addr = Some(self.parse_u64()?),
-                "data_bytes" => data_bytes = Some(self.parse_bounded("data_bytes", u32::MAX)?),
-                "core" => core = Some(self.parse_bounded("core", u8::MAX)?),
-                "op" => {
-                    op = Some(match self.parse_string()?.as_str() {
-                        "Load" => Op::Load,
-                        "Store" => Op::Store,
-                        other => return Err(self.err(&format!("unknown op '{other}'"))),
-                    })
-                }
-                "kind" => {
-                    kind = Some(match self.parse_string()?.as_str() {
-                        "Miss" => RequestKind::Miss,
-                        "WriteBack" => RequestKind::WriteBack,
-                        "Atomic" => RequestKind::Atomic,
-                        "Fence" => RequestKind::Fence,
-                        other => return Err(self.err(&format!("unknown kind '{other}'"))),
-                    })
-                }
-                other => return Err(self.err(&format!("unknown field '{other}'"))),
-            }
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b'}')?;
-            break;
-        }
-        match (cycle, addr, op, kind, data_bytes, core) {
-            (Some(cycle), Some(addr), Some(op), Some(kind), Some(data_bytes), Some(core)) => {
-                Ok(TraceEntry { cycle, addr, op, kind, data_bytes, core })
-            }
-            _ => Err(self.err("trace entry missing a required field")),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, TraceJsonError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'\\' {
-                return Err(self.err("escape sequences are not used by this schema"));
-            }
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8 in string"))?
-                    .to_owned();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, TraceJsonError> {
-        self.skip_ws();
-        let start = self.pos;
-        // Accumulate digits directly — no intermediate UTF-8 round-trip,
-        // and overflow is a located error rather than a panic.
-        let mut value: u64 = 0;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if !b.is_ascii_digit() {
+            if !cur.eat(b',') {
+                cur.expect(b']')?;
                 break;
             }
-            value = value
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(b - b'0')))
-                .ok_or_else(|| self.err("number out of range for u64"))?;
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(self.err("expected a number"));
-        }
-        Ok(value)
-    }
-
-    /// A number for a field narrower than u64; a value past `max` (the
-    /// field type's maximum) is a located error naming the field.
-    fn parse_bounded<T>(&mut self, field: &str, max: T) -> Result<T, TraceJsonError>
-    where
-        T: TryFrom<u64> + fmt::Display,
-    {
-        self.skip_ws();
-        let start = self.pos;
-        let value = self.parse_u64()?;
-        T::try_from(value).map_err(|_| {
-            self.err_at(start, &format!("{field} {value} out of range (at most {max})"))
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
         }
     }
+    cur.finish()?;
+    Ok(out)
+}
 
-    fn eat(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
+/// One `{...}` trace entry: every field, in any order.
+fn entry(cur: &mut Cursor) -> Result<TraceEntry, JsonError> {
+    cur.expect(b'{')?;
+    let (mut cycle, mut addr, mut data_bytes, mut core) = (None, None, None, None);
+    let (mut op, mut kind) = (None, None);
+    loop {
+        let at = cur.skip_ws();
+        let key = cur.read_str()?;
+        cur.expect(b':')?;
+        match key.as_ref() {
+            "cycle" => cycle = Some(cur.read_u64()?),
+            "addr" => addr = Some(cur.read_u64()?),
+            "data_bytes" => data_bytes = Some(narrow(cur, "data_bytes", u32::MAX.into())?),
+            "core" => core = Some(narrow(cur, "core", u8::MAX.into())?),
+            "op" => {
+                let at = cur.skip_ws();
+                op = Some(match cur.read_str()?.as_ref() {
+                    "Load" => Op::Load,
+                    "Store" => Op::Store,
+                    other => return Err(cur.error_at(at, format!("unknown op '{other}'"))),
+                })
+            }
+            "kind" => {
+                let at = cur.skip_ws();
+                kind = Some(match cur.read_str()?.as_ref() {
+                    "Miss" => RequestKind::Miss,
+                    "WriteBack" => RequestKind::WriteBack,
+                    "Atomic" => RequestKind::Atomic,
+                    "Fence" => RequestKind::Fence,
+                    other => return Err(cur.error_at(at, format!("unknown kind '{other}'"))),
+                })
+            }
+            other => return Err(cur.error_at(at, format!("unknown field '{other}'"))),
+        }
+        if !cur.eat(b',') {
+            cur.expect(b'}')?;
+            break;
         }
     }
-
-    fn expect(&mut self, b: u8) -> Result<(), TraceJsonError> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+    match (cycle, addr, op, kind, data_bytes, core) {
+        (Some(cycle), Some(addr), Some(op), Some(kind), Some(data_bytes), Some(core)) => {
+            Ok(TraceEntry { cycle, addr, op, kind, data_bytes, core })
+        }
+        _ => {
+            let at = cur.skip_ws();
+            Err(cur.error_at(at, "trace entry missing a required field"))
         }
     }
+}
 
-    fn err(&self, msg: &str) -> TraceJsonError {
-        self.err_at(self.pos, msg)
-    }
-
-    fn err_at(&self, pos: usize, msg: &str) -> TraceJsonError {
-        // Locate the offset in (line, column) terms only now, on the
-        // cold path; the hot parse loop never tracks line state.
-        let upto = pos.min(self.bytes.len());
-        let line = 1 + self.bytes[..upto].iter().filter(|&&b| b == b'\n').count();
-        let line_start =
-            self.bytes[..upto].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        TraceJsonError { line, column: upto - line_start + 1, byte: pos, msg: msg.to_owned() }
-    }
+/// A number for a field narrower than u64; a value past `max` (the
+/// field type's maximum) is a located error naming the field.
+fn narrow<T: TryFrom<u64>>(cur: &mut Cursor, field: &str, max: u64) -> Result<T, JsonError> {
+    let at = cur.skip_ws();
+    let value = cur.read_u64()?;
+    T::try_from(value)
+        .map_err(|_| cur.error_at(at, format!("{field} {value} out of range (at most {max})")))
 }
 
 #[cfg(test)]

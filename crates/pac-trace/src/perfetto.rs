@@ -18,6 +18,7 @@
 
 use crate::event::{EventKind, TraceEvent};
 use crate::recorder::CounterSample;
+use pac_types::json::escape;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -37,22 +38,6 @@ const TID_DISPATCH: u32 = 7;
 const TID_HMC_LINK: u32 = 0;
 /// Vault `v` renders on thread `TID_VAULT_BASE + v` of the hmc process.
 const TID_VAULT_BASE: u32 = 100;
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 struct Emitted {
     pid: u32,
@@ -172,9 +157,7 @@ fn place(ev: &TraceEvent) -> Emitted {
         EventKind::OracleViolation { detail } => {
             e.pid = PID_COALESCER;
             e.tid = TID_DISPATCH;
-            e.args.push_str("\"detail\":\"");
-            escape_into(&mut e.args, detail);
-            e.args.push('"');
+            let _ = write!(e.args, "\"detail\":\"{}\"", escape(detail));
         }
         EventKind::WatchdogFired { seq, id, attempt } => {
             e.tid = TID_DISPATCH;
@@ -252,8 +235,7 @@ fn meta(out: &mut String, pid: u32, tid: Option<u32>, name: &str) {
             );
         }
     }
-    escape_into(out, name);
-    out.push_str("\"}},\n");
+    let _ = writeln!(out, "{}\"}}}},", escape(name));
 }
 
 /// Serialize events and counter samples as Chrome `trace_event` JSON

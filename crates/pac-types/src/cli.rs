@@ -7,7 +7,8 @@
 //!
 //! - `--flag V` and `--flag=V` are the same;
 //! - the token after a valued flag is its value, whatever it looks like;
-//! - a lone `-` is data (stdin or stdout, as the binary documents);
+//! - a lone `-` is data (stdin, where the binary documents it); a flag
+//!   naming a file the binary writes refuses it ([`Args::file`]);
 //! - any other token starting with `-` must be declared, wherever it
 //!   stands: a flag typed after the positionals is never taken as data;
 //! - a missing or repeated value, a value on a switch, and a second
@@ -125,6 +126,18 @@ impl Args {
         self.value(flag).map(|v| int(flag, v)).transpose()
     }
 
+    /// The value given to `flag`, a file the binary writes beside its
+    /// results. `-` is refused: the binaries print their results on
+    /// stdout, so a second stream there could not be read apart.
+    pub fn file(&self, flag: &str) -> Result<Option<&str>, String> {
+        match self.value(flag) {
+            Some("-") => {
+                Err(format!("'{flag}' takes a file path, not '-': stdout carries the results"))
+            }
+            value => Ok(value),
+        }
+    }
+
     /// The positional arguments, whose number must lie in `count`.
     pub fn positionals(&self, count: impl RangeBounds<usize>) -> Result<&[String], String> {
         if count.contains(&self.positionals.len()) {
@@ -215,7 +228,10 @@ mod tests {
             let args = parse(argv).unwrap();
             assert_eq!(args.value("--progress"), Some("-"));
             assert_eq!(args.positionals(1..=1).unwrap(), ["-"]);
+            assert!(args.file("--progress").unwrap_err().contains("'--progress' takes a file"));
         }
+        let args = parse(&["--progress=p.jsonl"]).unwrap();
+        assert_eq!(args.file("--progress").unwrap(), Some("p.jsonl"));
         let args = parse(&["--progress", "--quick"]).unwrap();
         assert_eq!(args.value("--progress"), Some("--quick"));
         assert!(!args.has("--quick"));

@@ -13,6 +13,7 @@ pub mod cli;
 pub mod config;
 pub mod fault;
 pub mod hash;
+pub mod json;
 pub mod obs;
 pub mod protocol;
 pub mod ras;

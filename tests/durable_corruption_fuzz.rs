@@ -1,4 +1,5 @@
-//! Corruption fuzzing for the two durable on-disk formats.
+//! Corruption fuzzing for the two durable on-disk formats, and for the
+//! workspace's one JSON reader.
 //!
 //! The repo persists exactly two things a later process must trust:
 //! PACSNAP1 checkpoint images (`SimSystem::save_state` /
@@ -14,14 +15,24 @@
 //! * **never a forged result** — no corruption can mint a `done` cell
 //!   that the clean history does not contain, or double-count one.
 //!
+//! The same flips and cuts reach the JSON reader's other two callers, a
+//! captured trace file (`trace_json::from_json`) and a progress stream
+//! (`CampaignReport::ingest_str`): each reads to `Ok` or a located
+//! `Err`, never a panic. A last property checks that the reader
+//! inverts `escape` on arbitrary strings.
+//!
 //! Failing seeds persist to `proptest-regressions/<property>.txt` and
 //! replay on every future run (see the shim in `crates/proptest`).
 
+use pac_obs::{CampaignReport, CellId, ProgressSink};
+use pac_repro::sim::{run_bench, trace_json, ExperimentConfig};
 use pac_repro::sim::{CoalescerKind, RunProgress, SimSystem, Stepping};
-use pac_repro::types::{RasClass, RasPlan, SimConfig};
+use pac_repro::types::json::{escape, Json};
+use pac_repro::types::{RasClass, RasPlan, RunnerStats, SimConfig, SupervisorStats, WorkerStats};
 use pac_repro::workloads::multiproc::{single_process, CoreSpec};
 use pac_repro::workloads::Bench;
 use pac_serve::journal::{CellFingerprint, Journal, Record};
+use pac_trace::{LatencyHistogram, MetricsRegistry};
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use std::sync::OnceLock;
 
@@ -104,6 +115,63 @@ fn journal_text() -> &'static str {
         }
         text
     })
+}
+
+/// A captured trace file, as `trace_tool capture` writes it: the first
+/// 32 entries of a short GS run.
+fn trace_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let cfg =
+            ExperimentConfig { accesses_per_core: 100, capture_trace: true, ..Default::default() };
+        let (_, trace) = run_bench(Bench::Gs, CoalescerKind::Raw, &cfg);
+        trace_json::to_json(&trace[..32])
+    })
+}
+
+/// A progress stream carrying every event kind, a `metrics` event's
+/// nested histogram parts and escaped, non-ASCII strings included.
+fn progress_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let (sink, buf) = ProgressSink::to_buffer();
+        let id = CellId { bench: "GS", kind: "pac", backend: "hmc", config: "q=\"µ\"" };
+        let mut hist = LatencyHistogram::new();
+        for v in [3, 9, 250, 40_000] {
+            hist.record(v);
+        }
+        let mut reg = MetricsRegistry::new();
+        reg.insert("stage2_decoder", hist);
+        let worker = WorkerStats { cells_claimed: 2, busy_seconds: 1.0, idle_seconds: 0.5 };
+        sink.campaign_start("fuzz", "hmc", 2, 2);
+        sink.cell_start(0, &id);
+        sink.metrics(0, &id, &reg);
+        sink.cell_finish(0, &id, "pass", 0.25, 123_456);
+        sink.cell_retry(1, 1, 250, "oracle: 2 violation(s)");
+        sink.cell_quarantined(1, 2, "wedged\n\"hard\"");
+        sink.worker_util(&RunnerStats { wall_seconds: 1.5, workers: vec![worker] });
+        sink.phase("clean_matrix", 1.5);
+        sink.checkpoint(8_000, "c0.pacsnap");
+        sink.resumed(8_000, "c0.pacsnap");
+        sink.supervisor(&SupervisorStats::default());
+        sink.campaign_end();
+        buf.contents()
+    })
+}
+
+/// `bytes` with bit `bit` of byte `at` (taken modulo the length)
+/// flipped, lossy-decoded as a reader would see it.
+fn flip(bytes: &[u8], at: u64, bit: u32) -> String {
+    let mut bytes = bytes.to_vec();
+    let at = (at % bytes.len() as u64) as usize;
+    bytes[at] ^= 1u8 << bit;
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The first `cut` (modulo the length plus one) bytes of `text`.
+fn cut_to(text: &str, cut: u64) -> String {
+    let cut = (cut % (text.len() as u64 + 1)) as usize;
+    String::from_utf8_lossy(&text.as_bytes()[..cut]).into_owned()
 }
 
 /// Write `text` to a fresh temp file and replay it.
@@ -224,6 +292,67 @@ proptest! {
             }
         }
     }
+
+    /// A flipped bit anywhere in a captured trace file reads to `Ok` or
+    /// an error located inside the text, and every truncation short of
+    /// the whole file is refused: the array is never closed.
+    #[test]
+    fn trace_file_flips_and_cuts_never_panic(
+        at in proptest::any::<u64>(),
+        bit in 0u32..8,
+        cut in proptest::any::<u64>()
+    ) {
+        let clean = trace_text();
+        let text = flip(clean.as_bytes(), at, bit);
+        if let Err(e) = trace_json::from_json(&text) {
+            prop_assert!(e.byte <= text.len(), "{e}");
+        }
+        let text = cut_to(clean, cut);
+        prop_assert!(
+            text.len() == clean.len() || trace_json::from_json(&text).is_err(),
+            "a cut to {} of {} bytes read as a whole trace",
+            text.len(),
+            clean.len()
+        );
+    }
+
+    /// A flipped bit or a truncation of a progress stream costs at most
+    /// the lines it touches: a flip damages one line (two, if it makes a
+    /// newline), a cut only the torn last one, and nothing panics.
+    #[test]
+    fn progress_stream_flips_and_cuts_never_panic(
+        at in proptest::any::<u64>(),
+        bit in 0u32..8,
+        cut in proptest::any::<u64>()
+    ) {
+        let clean = progress_text();
+        let mut report = CampaignReport::new();
+        report.ingest_str(&flip(clean.as_bytes(), at, bit), "flip.jsonl");
+        prop_assert!(report.errors().len() <= 2, "{:?}", report.errors());
+        let mut report = CampaignReport::new();
+        report.ingest_str(&cut_to(clean, cut), "cut.jsonl");
+        prop_assert!(report.errors().len() <= 1, "{:?}", report.errors());
+    }
+
+    /// The reader inverts `escape` on arbitrary strings: quotes,
+    /// backslashes, control characters, ASCII and every other scalar
+    /// value (each class of `units` picks from one of those).
+    #[test]
+    fn escaped_strings_read_back_exactly(
+        units in proptest::collection::vec((0u32..4, 0u32..0x11_0000), 0..48)
+    ) {
+        let s: String = units
+            .iter()
+            .map(|&(class, v)| match class {
+                0 => ['"', '\\', '/', '\u{7f}'][v as usize % 4],
+                1 => char::from_u32(v % 0x20).expect("a control character"),
+                2 => char::from_u32(0x20 + v % 0x5f).expect("printable ASCII"),
+                _ => char::from_u32(v).unwrap_or('\u{fffd}'),
+            })
+            .collect();
+        let doc = format!("\"{}\"", escape(&s));
+        prop_assert_eq!(Json::parse(&doc), Ok(Json::Str(s)), "{doc:?}");
+    }
 }
 
 /// The other side of the fuzz coin: the clean artifacts actually work.
@@ -243,4 +372,10 @@ fn clean_snapshot_and_journal_still_parse() {
     assert!(replay.drained);
     assert!(replay.torn.is_none());
     assert!(replay.double_done.is_empty());
+
+    assert_eq!(trace_json::from_json(trace_text()).expect("untampered trace reads").len(), 32);
+    let mut report = CampaignReport::new();
+    report.ingest_str(progress_text(), "clean.jsonl");
+    assert!(report.errors().is_empty(), "{:?}", report.errors());
+    assert_eq!((report.total_cells(), report.worker().map(|w| w.cells())), (1, Some(2)));
 }
