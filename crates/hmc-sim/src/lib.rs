@@ -1,4 +1,5 @@
-//! Cycle-level Hybrid Memory Cube device model.
+//! Cycle-level stacked-memory device model, and the Hybrid Memory Cube
+//! topology over it.
 //!
 //! This crate stands in for HMC-Sim 3.0 (Leidel & Chen), the cycle-accurate
 //! simulator the paper drives its coalesced requests into. It models the
@@ -21,39 +22,25 @@
 //!   `VAULT-CTRL`, `LINK-LOCAL-ROUTE`, `LINK-REMOTE-ROUTE`) plus bank
 //!   activate/access energy.
 //!
-//! The device is advanced with [`Hmc::tick`]; completed responses are
-//! drained with [`Hmc::pop_responses`]. All timing is expressed in CPU
+//! The device itself is generic: [`Device`] (in [`device`]) holds
+//! everything a stacked memory shares — submission checks and
+//! accounting, the walk over active units, response scheduling with the
+//! fault injector, and response return — over a [`Topology`] that
+//! supplies the network in front of the banks and the unit behind it.
+//! [`Hmc`] is the device over the HMC's [`Links`] (in [`links`]) and
+//! [`vault::Vault`]s; `pac-mem` builds the HBM over the same device.
+//!
+//! The device is advanced with [`Device::tick`]; completed responses are
+//! drained with [`Device::pop_responses`]. All timing is expressed in CPU
 //! cycles (2 GHz) so the whole simulated system shares one clock.
-//!
-//! # Example
-//!
-//! The Sec 2.1.1 motivating example: four raw 64 B reads of one 256 B
-//! row serialize on the closed-page bank; one coalesced 256 B read does
-//! not.
-//!
-//! ```
-//! use hmc_sim::{Hmc, HmcRequest};
-//! use pac_types::{HmcDeviceConfig, Op};
-//!
-//! let mut raw = Hmc::new(HmcDeviceConfig::default());
-//! for i in 0..4 {
-//!     raw.submit(HmcRequest { id: i, addr: i * 64, bytes: 64, op: Op::Load }, 0);
-//! }
-//! let (_, raw_done) = raw.drain(0);
-//! assert_eq!(raw.bank_conflicts(), 3);
-//!
-//! let mut coalesced = Hmc::new(HmcDeviceConfig::default());
-//! coalesced.submit(HmcRequest { id: 9, addr: 0, bytes: 256, op: Op::Load }, 0);
-//! let (_, co_done) = coalesced.drain(0);
-//! assert_eq!(coalesced.bank_conflicts(), 0);
-//! assert!(co_done < raw_done);
-//! ```
 
 pub mod device;
 pub mod energy;
+pub mod links;
 pub mod stats;
 pub mod vault;
 
-pub use device::{Hmc, HmcRequest, HmcResponse};
+pub use device::{Device, HmcRequest, HmcResponse, Topology, Unit};
 pub use energy::{EnergyBreakdown, EnergyClass};
+pub use links::{Hmc, Links};
 pub use stats::HmcStats;

@@ -8,7 +8,12 @@
 //! a **bank conflict**; with closed pages, un-coalesced adjacent requests
 //! to one row conflict pairwise, which is exactly the pathology PAC
 //! removes (Sec 2.1.1).
+//!
+//! The bank, queue-entry and ready-response types here, and the
+//! closed-page reference and refresh timing, are shared by every unit
+//! model: the HBM pseudo-channel (`pac-mem`) builds on them too.
 
+use crate::device::Unit;
 use crate::energy::{EnergyBreakdown, EnergyClass};
 use pac_types::{Cycle, HmcDeviceConfig, Op};
 use std::collections::VecDeque;
@@ -27,26 +32,44 @@ pub struct Bank {
     pub refresh_stalls: u64,
 }
 
-/// If `start` falls inside one of the bank's staggered refresh windows,
-/// push it to the end of that window. Windows repeat every
-/// `t_refresh_interval` cycles with per-bank phase `stagger`.
-fn refresh_adjusted_start(cfg: &HmcDeviceConfig, bank_index: usize, start: Cycle) -> Cycle {
-    if cfg.t_refresh_interval == 0 || cfg.t_refresh_duration == 0 {
+/// Cycles after issue at which a closed-page reference of `bytes` has
+/// its data ready (activate, then one column access per 32 B), and at
+/// which its bank frees up again (after the precharge).
+pub fn reference_timing(
+    bytes: u64,
+    t_activate: Cycle,
+    t_access_per_32b: Cycle,
+    t_precharge: Cycle,
+) -> (Cycle, Cycle) {
+    let data_ready_off = t_activate + bytes.div_ceil(32) * t_access_per_32b;
+    (data_ready_off, data_ready_off + t_precharge)
+}
+
+/// If `start` falls inside one of `bank`'s refresh windows, push it to
+/// the end of that window. Windows last `duration` cycles and repeat
+/// every `interval` cycles (either 0 disables refresh); a unit's `banks`
+/// are staggered across the interval, offset by half an interval so
+/// cycle 0 (cold start) is never inside a window.
+pub fn refresh_adjusted_start(
+    start: Cycle,
+    bank: u32,
+    banks: u32,
+    interval: Cycle,
+    duration: Cycle,
+) -> Cycle {
+    if interval == 0 || duration == 0 {
         return start;
     }
-    let interval = cfg.t_refresh_interval;
-    // Stagger banks across the interval; offset by half an interval so
-    // cycle 0 (cold start) is never inside a window.
-    let stagger = ((bank_index as u64 * interval) / 16 + interval / 2) % interval;
+    let stagger = (u64::from(bank) * interval / u64::from(banks.max(1)) + interval / 2) % interval;
     let phase = (start + interval - stagger) % interval;
-    if phase < cfg.t_refresh_duration {
-        start + (cfg.t_refresh_duration - phase)
+    if phase < duration {
+        start + (duration - phase)
     } else {
         start
     }
 }
 
-/// A request queued inside a vault, with its precomputed routing info.
+/// A request queued inside a unit, with its precomputed routing info.
 #[derive(Debug, Clone)]
 pub struct QueuedRequest {
     pub id: u64,
@@ -54,22 +77,23 @@ pub struct QueuedRequest {
     pub bytes: u64,
     pub op: Op,
     pub bank: u32,
-    /// Cycle the request lands in the vault queue.
+    /// Cycle the request lands in the unit queue.
     pub arrival: Cycle,
     /// Cycle the raw request was submitted to the device (for latency).
     pub submit_cycle: Cycle,
-    /// Link the request arrived on (the response returns the same way).
+    /// Link the request arrived on (the response returns the same way);
+    /// on the HBM, the owning channel.
     pub link: u32,
     /// Whether the route crossed to a remote quadrant.
     pub remote: bool,
 }
 
-/// A reference whose DRAM access has completed; the device layer routes
-/// the response packet back over the crossbar and link.
+/// A reference whose DRAM access has completed; the device routes the
+/// response packet back to the host.
 #[derive(Debug, Clone)]
 pub struct ReadyResponse {
     pub req: QueuedRequest,
-    /// Cycle the data is available at the vault's response slot.
+    /// Cycle the data is available at the unit's response slot.
     pub data_ready: Cycle,
 }
 
@@ -90,36 +114,38 @@ pac_types::snapshot_fields!(ReadyResponse { req, data_ready });
 pac_types::snapshot_fields!(Vault { queue, banks, next_issue });
 
 impl Vault {
-    pub fn new(banks: u32) -> Self {
+    /// The head's issue cycle before and after the refresh push-out:
+    /// arrival, the one-issue-per-cycle port, and the bank.
+    fn head_start(&self, cfg: &HmcDeviceConfig, head: &QueuedRequest) -> (Cycle, Cycle) {
+        let bank = &self.banks[head.bank as usize];
+        let base = head.arrival.max(self.next_issue).max(bank.busy_until);
+        let (interval, duration) = (cfg.t_refresh_interval, cfg.t_refresh_duration);
+        (base, refresh_adjusted_start(base, head.bank, cfg.banks_per_vault, interval, duration))
+    }
+}
+
+impl Unit for Vault {
+    type Config = HmcDeviceConfig;
+
+    fn new(cfg: &HmcDeviceConfig) -> Self {
         Vault {
             queue: VecDeque::new(),
-            banks: vec![Bank::default(); banks as usize],
+            banks: vec![Bank::default(); cfg.banks_per_vault as usize],
             next_issue: 0,
         }
     }
 
-    /// Queue a request for service.
-    pub fn enqueue(&mut self, req: QueuedRequest) {
+    fn enqueue(&mut self, req: QueuedRequest) {
         self.queue.push_back(req);
     }
 
-    /// True if no request is queued.
-    pub fn is_idle(&self) -> bool {
+    fn is_idle(&self) -> bool {
         self.queue.is_empty()
     }
 
-    /// Cycles a closed-page reference of `bytes` keeps its bank busy, and
-    /// the offset at which the data becomes available.
-    fn reference_timing(cfg: &HmcDeviceConfig, bytes: u64) -> (Cycle, Cycle) {
-        let access = bytes.div_ceil(32) * cfg.t_access_per_32b;
-        let data_ready_off = cfg.t_activate + access;
-        (data_ready_off, data_ready_off + cfg.t_precharge)
-    }
-
-    /// Issue every head request that can start by `now`. Completed DRAM
-    /// accesses are appended to `out`; energy and conflict accounting is
-    /// charged as references issue.
-    pub fn tick(
+    /// Issue every head request that can start by `now`; energy and
+    /// conflict accounting is charged as references issue.
+    fn tick(
         &mut self,
         now: Cycle,
         cfg: &HmcDeviceConfig,
@@ -130,9 +156,7 @@ impl Vault {
             if head.arrival > now {
                 break;
             }
-            let bank = &self.banks[head.bank as usize];
-            let base_start = head.arrival.max(self.next_issue).max(bank.busy_until);
-            let start = refresh_adjusted_start(cfg, head.bank as usize, base_start);
+            let (base_start, start) = self.head_start(cfg, head);
             if start > now {
                 // Bank, issue port, or refresh window not clear yet;
                 // in-order head-of-line wait. Re-evaluated next tick.
@@ -152,7 +176,8 @@ impl Vault {
                 bank.refresh_stalls += 1;
             }
 
-            let (ready_off, busy_off) = Self::reference_timing(cfg, req.bytes);
+            let (ready_off, busy_off) =
+                reference_timing(req.bytes, cfg.t_activate, cfg.t_access_per_32b, cfg.t_precharge);
             bank.busy_until = start + busy_off;
             self.next_issue = start + 1;
 
@@ -172,31 +197,26 @@ impl Vault {
         }
     }
 
-    /// Earliest cycle ≥ `now` at which [`Vault::tick`] could issue the
-    /// head request, or `None` when the queue is empty. Computed from
-    /// the same arrival/issue-port/bank/refresh terms as the issue path,
-    /// so the estimate is exact for the current head.
-    pub fn next_head_start(&self, cfg: &HmcDeviceConfig, now: Cycle) -> Option<Cycle> {
+    /// Computed from the same arrival/issue-port/bank/refresh terms as
+    /// the issue path, so the estimate is exact for the current head.
+    fn next_head_start(&self, cfg: &HmcDeviceConfig, now: Cycle) -> Option<Cycle> {
         let head = self.queue.front()?;
-        let bank = &self.banks[head.bank as usize];
-        let base = head.arrival.max(self.next_issue).max(bank.busy_until);
-        Some(refresh_adjusted_start(cfg, head.bank as usize, base).max(now))
+        Some(self.head_start(cfg, head).1.max(now))
     }
 
-    /// Total conflicts across this vault's banks.
-    pub fn conflicts(&self) -> u64 {
+    fn conflicts(&self) -> u64 {
         self.banks.iter().map(|b| b.conflicts).sum()
-    }
-
-    /// Total references across this vault's banks.
-    pub fn references(&self) -> u64 {
-        self.banks.iter().map(|b| b.references).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn refresh(c: &HmcDeviceConfig, bank: u32, start: Cycle) -> Cycle {
+        let (interval, duration) = (c.t_refresh_interval, c.t_refresh_duration);
+        refresh_adjusted_start(start, bank, c.banks_per_vault, interval, duration)
+    }
 
     fn cfg() -> HmcDeviceConfig {
         HmcDeviceConfig::default()
@@ -219,7 +239,7 @@ mod tests {
     #[test]
     fn single_reference_timing() {
         let c = cfg();
-        let mut v = Vault::new(2);
+        let mut v = Vault::new(&c);
         let mut e = EnergyBreakdown::new();
         let mut out = Vec::new();
         v.enqueue(q(1, 0, 64, 0));
@@ -228,7 +248,7 @@ mod tests {
         // data ready = tACT + 2 access chunks of 32B * 2cyc = 28 + 4 = 32.
         assert_eq!(out[0].data_ready, c.t_activate + 2 * c.t_access_per_32b);
         assert_eq!(v.conflicts(), 0);
-        assert_eq!(v.references(), 1);
+        assert_eq!(v.banks[0].references, 1);
         assert_eq!(e.events(EnergyClass::VaultCtrl), 1);
         assert_eq!(e.events(EnergyClass::BankAccess), 2);
     }
@@ -236,13 +256,13 @@ mod tests {
     #[test]
     fn back_to_back_same_bank_conflicts() {
         let c = cfg();
-        let mut v = Vault::new(2);
+        let mut v = Vault::new(&c);
         let mut e = EnergyBreakdown::new();
         let mut out = Vec::new();
         v.enqueue(q(1, 0, 64, 0));
         v.enqueue(q(2, 0, 64, 0)); // same bank, same row: closed page forces re-activate
         // First issues at 0; second must wait for the full bank cycle.
-        let (_, busy) = Vault::reference_timing(&c, 64);
+        let (_, busy) = reference_timing(64, c.t_activate, c.t_access_per_32b, c.t_precharge);
         for now in 0..=busy + 1 {
             v.tick(now, &c, &mut e, &mut out);
         }
@@ -259,7 +279,7 @@ mod tests {
         let mut e = EnergyBreakdown::new();
         let mut out = Vec::new();
 
-        let mut raw = Vault::new(1);
+        let mut raw = Vault::new(&c);
         for i in 0..4 {
             raw.enqueue(q(i, i * 64, 64, 0));
         }
@@ -271,7 +291,7 @@ mod tests {
         assert_eq!(raw.conflicts(), 3);
 
         out.clear();
-        let mut coalesced = Vault::new(1);
+        let mut coalesced = Vault::new(&c);
         coalesced.enqueue(q(9, 0, 256, 0));
         coalesced.tick(0, &c, &mut e, &mut out);
         assert_eq!(coalesced.conflicts(), 0);
@@ -281,7 +301,7 @@ mod tests {
     #[test]
     fn different_banks_do_not_conflict() {
         let c = cfg();
-        let mut v = Vault::new(2);
+        let mut v = Vault::new(&c);
         let mut e = EnergyBreakdown::new();
         let mut out = Vec::new();
         let mut r2 = q(2, 64, 64, 0);
@@ -299,7 +319,7 @@ mod tests {
     #[test]
     fn requests_do_not_issue_before_arrival() {
         let c = cfg();
-        let mut v = Vault::new(1);
+        let mut v = Vault::new(&c);
         let mut e = EnergyBreakdown::new();
         let mut out = Vec::new();
         v.enqueue(q(1, 0, 64, 10));
@@ -316,7 +336,7 @@ mod tests {
         c.t_refresh_duration = 100;
         // Bank 0's window covers [500, 600): a reference at cycle 510
         // must wait until the window closes at 600.
-        let mut v = Vault::new(1);
+        let mut v = Vault::new(&c);
         let mut e = EnergyBreakdown::new();
         let mut out = Vec::new();
         v.enqueue(q(1, 0, 64, 510));
@@ -336,7 +356,7 @@ mod tests {
     fn refresh_disabled_when_interval_zero() {
         let mut c = cfg();
         c.t_refresh_interval = 0;
-        assert_eq!(refresh_adjusted_start(&c, 0, 5), 5);
+        assert_eq!(refresh(&c, 0, 5), 5);
     }
 
     #[test]
@@ -345,9 +365,9 @@ mod tests {
         c.t_refresh_interval = 1000;
         c.t_refresh_duration = 100;
         // Phase 100 of bank 0's cycle: far from its [500, 600) window.
-        assert_eq!(refresh_adjusted_start(&c, 0, 100), 100);
+        assert_eq!(refresh(&c, 0, 100), 100);
         // Banks are staggered: bank 8 refreshes half an interval later.
-        assert_ne!(refresh_adjusted_start(&c, 8, 0), refresh_adjusted_start(&c, 0, 0));
+        assert_ne!(refresh(&c, 8, 0), refresh(&c, 0, 0));
     }
 
     #[test]
@@ -355,7 +375,7 @@ mod tests {
         let c = cfg();
         let mut e = EnergyBreakdown::new();
         let mut out = Vec::new();
-        let mut v = Vault::new(1);
+        let mut v = Vault::new(&c);
         v.enqueue(q(1, 0, 64, 0));
         v.enqueue(q(2, 0, 64, 0));
         let mut now = 0;

@@ -103,7 +103,7 @@ fn main() {
         None => ProgressSink::disabled(),
         Some(path) => ProgressSink::create(path).unwrap_or_else(|e| {
             eprintln!("--progress {path}: {e}");
-            std::process::exit(2);
+            std::process::exit(1);
         }),
     };
     if args.has("--gate") {

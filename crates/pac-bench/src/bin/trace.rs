@@ -132,7 +132,9 @@ fn run(args: &Args) -> Result<(), BenchError> {
     };
     let progress = match args.file("--progress")? {
         None => ProgressSink::disabled(),
-        Some(path) => ProgressSink::create(path).map_err(|e| format!("--progress {path}: {e}"))?,
+        Some(path) => {
+            ProgressSink::create(path).map_err(|e| BenchError::Write(PathBuf::from(path), e))?
+        }
     };
 
     match job {

@@ -187,6 +187,28 @@ fn modes_exclude_one_another() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn an_uncreatable_progress_file_is_an_io_error() {
+    // The flag is well formed but the file cannot be created: exit 1
+    // naming the path, with no usage text and nothing run.
+    let dir = sandbox("progress-io");
+    let path = "/nonexistent/p.jsonl";
+    let runs: [(&str, &[&str]); 2] = [
+        (CONFORMANCE, &["--quick", "--progress", path]),
+        (TRACE, &["--quick", "--progress", path, "EP", "pac"]),
+    ];
+    for (bin, args) in runs {
+        let out = Command::new(bin).args(args).current_dir(&dir).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(path), "{bin} {args:?} must name the file: {stderr}");
+        assert!(!stderr.contains("usage:"), "{bin} {args:?} is not a usage error: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.is_empty(), "{bin} {args:?} ran: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn run_ok(dir: &PathBuf, bin: &str, args: &[&str], stdin: Option<&[u8]>) -> String {
     let mut child = Command::new(bin)
         .args(args)

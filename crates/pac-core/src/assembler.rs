@@ -5,7 +5,8 @@
 //! and emits one coalesced request per contiguous run (one cycle per
 //! request) — Sec 3.3.3. [`assemble`] uses the table; [`assemble_naive`]
 //! derives the runs by scanning adjacent bits, the slower alternative the
-//! paper rejects, kept for the ablation benchmark.
+//! paper rejects; it is kept only as the reference the table's output is
+//! tested against.
 
 use crate::decoder::BlockSequence;
 use crate::table::{runs_of, CoalescingTable, Run};
@@ -66,8 +67,8 @@ pub fn assemble_into(
 }
 
 /// Assemble by scanning adjacent bits of the pattern instead of a table
-/// look-up. Functionally identical; returns the number of bit
-/// comparisons performed so the ablation bench can price it.
+/// look-up: the test reference for [`assemble`]. Functionally identical;
+/// also returns the number of bit comparisons the scan performed.
 pub fn assemble_naive(
     seq: &BlockSequence,
     protocol: MemoryProtocol,

@@ -14,40 +14,20 @@
 //!   `faw_window_activates` activates may start inside any `t_faw`
 //!   window, throttling bursts that spray a channel's banks.
 //!
-//! Bank state, queued requests, and ready responses reuse the
-//! `hmc-sim` types (the packet vocabulary is shared across backends;
-//! the `link` field of a queued request carries the owning channel
-//! index, and `remote` is always false — HBM routes by address, so
-//! there is no crossbar to cross). Like the vault, every observable
-//! effect of an issue is a pure function of the controller state, and
-//! [`PseudoChannel::next_head_start`] computes the head's exact issue
-//! cycle from the same terms as [`PseudoChannel::tick`] — the property
-//! the skip-ahead stepper rests on.
+//! Bank state, queued requests, ready responses, and the closed-page
+//! reference and refresh timing are the `hmc-sim` vault model's (the
+//! `link` field of a queued request carries the owning channel index,
+//! and `remote` is always false — HBM routes by address, so there is no
+//! crossbar to cross). Like the vault, the channel is a
+//! [`hmc_sim::Unit`]: every observable effect of an issue is a pure
+//! function of the controller state, and `next_head_start` computes the
+//! head's exact issue cycle from the same terms as `tick` — the
+//! property the skip-ahead stepper rests on.
 
-use hmc_sim::vault::{Bank, QueuedRequest, ReadyResponse};
-use hmc_sim::{EnergyBreakdown, EnergyClass};
+use hmc_sim::vault::{reference_timing, refresh_adjusted_start, Bank, QueuedRequest, ReadyResponse};
+use hmc_sim::{EnergyBreakdown, EnergyClass, Unit};
 use pac_types::{Cycle, HbmDeviceConfig, StallCycles};
 use std::collections::VecDeque;
-
-/// If `start` falls inside one of the bank's staggered refresh windows,
-/// push it to the end of that window. Same shape as the vault model's
-/// schedule: windows repeat every `t_refresh_interval` cycles, banks
-/// staggered across the interval, phase offset by half an interval so
-/// cycle 0 is never inside a window.
-fn refresh_adjusted_start(cfg: &HbmDeviceConfig, bank_index: usize, start: Cycle) -> Cycle {
-    if cfg.t_refresh_interval == 0 || cfg.t_refresh_duration == 0 {
-        return start;
-    }
-    let interval = cfg.t_refresh_interval;
-    let banks = u64::from(cfg.banks_per_channel().max(1));
-    let stagger = ((bank_index as u64 * interval) / banks + interval / 2) % interval;
-    let phase = (start + interval - stagger) % interval;
-    if phase < cfg.t_refresh_duration {
-        start + (cfg.t_refresh_duration - phase)
-    } else {
-        start
-    }
-}
 
 /// An in-order pseudo-channel controller.
 #[derive(Debug, Clone)]
@@ -93,41 +73,10 @@ struct HeadTerms {
 }
 
 impl PseudoChannel {
-    pub fn new(cfg: &HbmDeviceConfig) -> Self {
-        PseudoChannel {
-            queue: VecDeque::new(),
-            banks: vec![Bank::default(); cfg.banks_per_channel() as usize],
-            next_issue: 0,
-            group_next_issue: vec![0; cfg.bank_groups as usize],
-            act_window: VecDeque::new(),
-            stalls: StallCycles::default(),
-        }
-    }
-
-    /// Queue a request for service.
-    pub fn enqueue(&mut self, req: QueuedRequest) {
-        self.queue.push_back(req);
-    }
-
-    /// True if no request is queued.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Cycles a closed-page reference of `bytes` keeps its bank busy,
-    /// and the offset at which the data becomes available.
-    fn reference_timing(cfg: &HbmDeviceConfig, bytes: u64) -> (Cycle, Cycle) {
-        let access = bytes.div_ceil(32) * cfg.t_access_per_32b;
-        let data_ready_off = cfg.t_activate + access;
-        (data_ready_off, data_ready_off + cfg.t_precharge)
-    }
-
     /// The head's start-cycle computation, built up one constraint at a
     /// time so each rule's contribution to the wait is attributed to
     /// exactly one [`StallCycles`] cause. Shared verbatim between the
-    /// issue path and [`next_head_start`](Self::next_head_start) so the
-    /// cached estimate is exact; the final `start` is identical to the
-    /// old single-expression `max` chain (max is order-independent).
+    /// issue path and `next_head_start` so the cached estimate is exact.
     fn head_start_terms(&self, cfg: &HbmDeviceConfig, head: &QueuedRequest) -> HeadTerms {
         let group = (head.bank / cfg.banks_per_group) as usize;
         let mut stalls = StallCycles::default();
@@ -149,16 +98,40 @@ impl PseudoChannel {
         let base = port_free.max(self.banks[head.bank as usize].busy_until);
         stalls.bank_conflict = base - port_free;
         // Refresh window push-out.
-        let start = refresh_adjusted_start(cfg, head.bank as usize, base);
+        let banks = cfg.banks_per_channel();
+        let (interval, duration) = (cfg.t_refresh_interval, cfg.t_refresh_duration);
+        let start = refresh_adjusted_start(base, head.bank, banks, interval, duration);
         stalls.refresh = start - base;
         HeadTerms { port_free, base, start, stalls }
     }
+}
 
-    /// Issue every head request that can start by `now`. Completed DRAM
-    /// accesses are appended to `out`; energy and conflict accounting
-    /// is charged as references issue, in the same four-charge order as
-    /// the vault model.
-    pub fn tick(
+impl Unit for PseudoChannel {
+    type Config = HbmDeviceConfig;
+
+    fn new(cfg: &HbmDeviceConfig) -> Self {
+        PseudoChannel {
+            queue: VecDeque::new(),
+            banks: vec![Bank::default(); cfg.banks_per_channel() as usize],
+            next_issue: 0,
+            group_next_issue: vec![0; cfg.bank_groups as usize],
+            act_window: VecDeque::new(),
+            stalls: StallCycles::default(),
+        }
+    }
+
+    fn enqueue(&mut self, req: QueuedRequest) {
+        self.queue.push_back(req);
+    }
+
+    fn is_idle(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// Issue every head request that can start by `now`; energy and
+    /// conflict accounting is charged as references issue, in the same
+    /// four-charge order as the vault model.
+    fn tick(
         &mut self,
         now: Cycle,
         cfg: &HbmDeviceConfig,
@@ -192,7 +165,8 @@ impl PseudoChannel {
             }
             self.stalls.merge(&stalls);
 
-            let (ready_off, busy_off) = Self::reference_timing(cfg, req.bytes);
+            let (ready_off, busy_off) =
+                reference_timing(req.bytes, cfg.t_activate, cfg.t_access_per_32b, cfg.t_precharge);
             bank.busy_until = start + busy_off;
             self.next_issue = start + 1;
             self.group_next_issue[group] = start + cfg.t_ccd_long.max(1);
@@ -216,28 +190,17 @@ impl PseudoChannel {
         }
     }
 
-    /// Earliest cycle ≥ `now` at which [`PseudoChannel::tick`] could
-    /// issue the head request, or `None` when the queue is empty. Exact
-    /// for the current head (all terms only move when this channel
-    /// issues).
-    pub fn next_head_start(&self, cfg: &HbmDeviceConfig, now: Cycle) -> Option<Cycle> {
+    fn next_head_start(&self, cfg: &HbmDeviceConfig, now: Cycle) -> Option<Cycle> {
         let head = self.queue.front()?;
         Some(self.head_start_terms(cfg, head).start.max(now))
     }
 
-    /// Total conflicts across this channel's banks.
-    pub fn conflicts(&self) -> u64 {
+    fn conflicts(&self) -> u64 {
         self.banks.iter().map(|b| b.conflicts).sum()
     }
 
-    /// Cumulative per-cause issue-stall cycles for this channel.
-    pub fn stalls(&self) -> StallCycles {
-        self.stalls
-    }
-
-    /// Total references across this channel's banks.
-    pub fn references(&self) -> u64 {
-        self.banks.iter().map(|b| b.references).sum()
+    fn stalls(&self) -> Option<StallCycles> {
+        Some(self.stalls)
     }
 }
 
@@ -264,6 +227,11 @@ mod tests {
         }
     }
 
+    /// Cycles a reference of `bytes` keeps its bank busy.
+    fn busy_cycles(c: &HbmDeviceConfig, bytes: u64) -> Cycle {
+        reference_timing(bytes, c.t_activate, c.t_access_per_32b, c.t_precharge).1
+    }
+
     fn drive(ch: &mut PseudoChannel, c: &HbmDeviceConfig, until: Cycle) -> Vec<ReadyResponse> {
         let mut e = EnergyBreakdown::new();
         let mut out = Vec::new();
@@ -282,7 +250,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].data_ready, c.t_activate + 2 * c.t_access_per_32b);
         assert_eq!(ch.conflicts(), 0);
-        assert_eq!(ch.references(), 1);
+        assert_eq!(ch.banks[0].references, 1);
     }
 
     #[test]
@@ -291,7 +259,7 @@ mod tests {
         let mut ch = PseudoChannel::new(&c);
         ch.enqueue(q(1, 0, 256, 0));
         ch.enqueue(q(2, 0, 256, 0));
-        let (_, busy) = PseudoChannel::reference_timing(&c, 256);
+        let busy = busy_cycles(&c, 256);
         let out = drive(&mut ch, &c, busy + 1);
         assert_eq!(out.len(), 2);
         assert_eq!(ch.conflicts(), 1);
@@ -363,7 +331,9 @@ mod tests {
             ch.tick(predicted, &c, &mut e, &mut out);
             assert!(out.len() > before, "predicted start {predicted} must issue");
             let issued = out.last().unwrap();
-            let start = issued.data_ready - PseudoChannel::reference_timing(&c, issued.req.bytes).0;
+            let bytes = issued.req.bytes;
+            let ready_off = reference_timing(bytes, c.t_activate, c.t_access_per_32b, c.t_precharge).0;
+            let start = issued.data_ready - ready_off;
             assert_eq!(start, predicted, "prediction must be exact");
             now = predicted;
         }
@@ -381,7 +351,7 @@ mod tests {
         assert_eq!(out[0].data_ready, 600 + c.t_activate + 2 * c.t_access_per_32b);
         assert_eq!(ch.banks[0].refresh_stalls, 1);
         // The push-out is 90 cycles (510 → 600), all charged to refresh.
-        assert_eq!(ch.stalls(), StallCycles { refresh: 90, ..StallCycles::default() });
+        assert_eq!(ch.stalls(), Some(StallCycles { refresh: 90, ..StallCycles::default() }));
     }
 
     #[test]
@@ -393,7 +363,7 @@ mod tests {
         same.enqueue(q(1, 0, 64, 0));
         same.enqueue(q(2, 1, 64, 1));
         drive(&mut same, &c, 20);
-        let s = same.stalls();
+        let s = same.stalls().unwrap();
         assert_eq!(s.tccd_l, c.t_ccd_long - 1, "second issue waits out the group spacing");
         assert_eq!(s.tfaw + s.bank_conflict + s.refresh, 0);
 
@@ -402,9 +372,9 @@ mod tests {
         let mut bank = PseudoChannel::new(&c);
         bank.enqueue(q(1, 0, 256, 0));
         bank.enqueue(q(2, 0, 256, 0));
-        let (_, busy) = PseudoChannel::reference_timing(&c, 256);
+        let busy = busy_cycles(&c, 256);
         drive(&mut bank, &c, 2 * busy + 2);
-        let s = bank.stalls();
+        let s = bank.stalls().unwrap();
         assert_eq!(bank.conflicts(), 1);
         assert!(s.bank_conflict > 0, "conflicted issue must charge bank stall cycles");
         assert_eq!(s.bank_conflict, busy - c.t_ccd_long.max(1), "waited from group-clear to bank-free");
@@ -418,7 +388,7 @@ mod tests {
             faw.enqueue(q(u64::from(i), bank, 64, 0));
         }
         drive(&mut faw, &c2, 2 * c2.t_faw);
-        let s = faw.stalls();
+        let s = faw.stalls().unwrap();
         assert!(s.tfaw > 0, "fifth activate must charge tFAW stall cycles");
         assert_eq!(s.bank_conflict, 0);
     }
@@ -430,9 +400,9 @@ mod tests {
         let mut ch = PseudoChannel::new(&c);
         ch.enqueue(q(1, 0, 256, 0));
         ch.enqueue(q(2, 0, 256, 0));
-        let (_, busy) = PseudoChannel::reference_timing(&c, 256);
+        let busy = busy_cycles(&c, 256);
         drive(&mut ch, &c, 2 * busy + 2);
-        assert!(!ch.stalls().is_zero());
+        assert!(!ch.stalls().unwrap().is_zero());
         let mut w = SnapWriter::new();
         ch.save(&mut w);
         let bytes = w.into_bytes();

@@ -1,32 +1,57 @@
 //! Memory-backend abstraction for the PAC simulator.
 //!
-//! The simulation core was grown against one device model — the HMC of
-//! `hmc-sim` — but PAC's claim (page-granular coalescing exploits
-//! 3D-stacked locality) is about stacked DRAM in general, not about the
-//! discontinued HMC specifically. This crate extracts the device
-//! surface the rest of the system actually uses into the
-//! [`MemoryBackend`] trait, provides the [`build_backend`] /
-//! [`load_backend`] factory keyed on [`pac_types::BackendKind`], and
-//! adds a second cycle-level backend: the HBM-style pseudo-channel
-//! model in [`hbm`].
+//! PAC's claim (page-granular coalescing exploits 3D-stacked locality)
+//! is about stacked DRAM in general, not about the discontinued HMC
+//! specifically. This crate holds the device surface the rest of the
+//! system uses, the [`MemoryBackend`] trait, with its one
+//! implementation on the device of [`hmc_sim::device`]; the
+//! [`build_backend`] / [`load_backend`] factory keyed on
+//! [`pac_types::BackendKind`]; and the HBM-style topology that makes the
+//! second backend: address-routed channel buses in [`hbm`] in front of
+//! the pseudo-channels of [`channel`].
 //!
 //! Every backend speaks the same packet vocabulary ([`HmcRequest`] /
-//! [`HmcResponse`] — 16 B FLITs, id-echoed completions) so the
-//! coalescer, oracle, recovery layer, tracer, and snapshot machinery
-//! work unchanged on top of any of them. What differs per backend is
-//! the *topology and timing under* that vocabulary: how addresses map
-//! to service units, what serializes, what conflicts, and what each
-//! event costs. The differential conformance suite in `pac-bench`
-//! (`conformance --diff`) exploits exactly that split: the same request
-//! stream must complete the same request *set* on every backend, while
-//! cycle timings are free to (and do) differ.
+//! [`HmcResponse`] — 16 B FLITs, id-echoed completions) and runs the
+//! same device: submission, the unit walk, response scheduling, the
+//! fault injector, and snapshots are written once. What differs per
+//! backend is the *topology and timing under* that vocabulary: how
+//! addresses map to service units, what serializes, what conflicts, and
+//! what each event costs. The differential conformance suite in
+//! `pac-bench` (`conformance --diff`) exploits exactly that split: the
+//! same request stream must complete the same request *set* on every
+//! backend, while cycle timings are free to (and do) differ.
+//!
+//! # Example
+//!
+//! The Sec 2.1.1 motivating example on the HMC: four raw 64 B reads of
+//! one 256 B row serialize on the closed-page bank; one coalesced 256 B
+//! read does not.
+//!
+//! ```
+//! use hmc_sim::{Hmc, HmcRequest};
+//! use pac_mem::MemoryBackend;
+//! use pac_types::{HmcDeviceConfig, Op};
+//!
+//! let mut raw = Hmc::new(HmcDeviceConfig::default());
+//! for i in 0..4 {
+//!     raw.submit(HmcRequest { id: i, addr: i * 64, bytes: 64, op: Op::Load }, 0);
+//! }
+//! let (_, raw_done) = raw.drain(0);
+//! assert_eq!(raw.bank_conflicts(), 3);
+//!
+//! let mut coalesced = Hmc::new(HmcDeviceConfig::default());
+//! coalesced.submit(HmcRequest { id: 9, addr: 0, bytes: 256, op: Op::Load }, 0);
+//! let (_, co_done) = coalesced.drain(0);
+//! assert_eq!(coalesced.bank_conflicts(), 0);
+//! assert!(co_done < raw_done);
+//! ```
 
 pub mod channel;
 pub mod hbm;
 
 pub use hbm::Hbm;
 
-use hmc_sim::{EnergyBreakdown, Hmc, HmcRequest, HmcResponse, HmcStats};
+use hmc_sim::{Device, EnergyBreakdown, Hmc, HmcRequest, HmcResponse, HmcStats, Topology};
 use pac_trace::TraceHandle;
 use pac_types::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use pac_types::{
@@ -52,14 +77,13 @@ use pac_types::{
 /// * **Conservation** — every submitted request eventually yields
 ///   exactly one response (unless a fault plan deliberately breaks
 ///   this), and [`is_idle`](Self::is_idle) goes true once it has.
+///
+/// Its one implementation is the device of [`hmc_sim::device`], over
+/// either backend's topology.
 pub trait MemoryBackend: std::fmt::Debug {
     /// Which backend this is (drives snapshot restore dispatch and
     /// labeling in bench output).
     fn kind(&self) -> BackendKind;
-
-    /// Number of independent service units (vaults / pseudo-channels):
-    /// the topology bound fault plans are validated against.
-    fn units(&self) -> u32;
 
     /// Accept a request at cycle `now`. Panics if the payload spans a
     /// device row boundary — the coalescer guarantees row-contained
@@ -83,19 +107,16 @@ pub trait MemoryBackend: std::fmt::Debug {
 
     /// Earliest cycle ≥ `now` at which something outside the device can
     /// see a change: a response becomes poppable, or — while a fault
-    /// plan is armed — any device event (a dropped response changes
-    /// [`inflight`](Self::inflight) at its data-ready cycle). Every
+    /// plan is armed — any device event (a dropped response leaves the
+    /// in-flight count at its data-ready cycle). Every
     /// [`next_event`](Self::next_event) strictly before this cycle
     /// stays inside the device, and a response scheduled by ticking one
     /// completes strictly after it, so the skip step may tick the
     /// device alone through those events (re-asking after each tick)
     /// without running a system tick. Must never be later than the
-    /// first cycle `pop_responses` returns something or `inflight`
-    /// changes. The default, [`next_event`](Self::next_event), is
-    /// always sound and forfeits the fast-forward.
-    fn next_visible(&self, now: Cycle) -> Option<Cycle> {
-        self.next_event(now)
-    }
+    /// first cycle `pop_responses` returns something or the in-flight
+    /// count changes.
+    fn next_visible(&self, now: Cycle) -> Option<Cycle>;
 
     /// The skip step's device fast-forward: tick the device alone at
     /// each of its events from `now` on that lies before `bound` and
@@ -122,9 +143,6 @@ pub trait MemoryBackend: std::fmt::Debug {
     /// True when nothing is queued or in flight.
     fn is_idle(&self) -> bool;
 
-    /// Requests accepted but not yet completed.
-    fn inflight(&self) -> usize;
-
     /// Aggregate transaction statistics.
     fn stats(&self) -> &HmcStats;
 
@@ -139,7 +157,7 @@ pub trait MemoryBackend: std::fmt::Debug {
 
     /// Arm deterministic response-path fault injection. The plan is
     /// validated against *this* backend's topology
-    /// ([`FaultPlan::validate_for`] with [`units`](Self::units)).
+    /// ([`FaultPlan::validate_for`] with its unit count).
     fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), FaultPlanError>;
 
     /// Faults injected so far under the armed plan.
@@ -162,9 +180,7 @@ pub trait MemoryBackend: std::fmt::Debug {
     /// named timing rules (`None` where the concept does not apply —
     /// the HMC's closed-page vault model attributes conflicts but not
     /// per-rule stall cycles).
-    fn stall_cycles(&self) -> Option<StallCycles> {
-        None
-    }
+    fn stall_cycles(&self) -> Option<StallCycles>;
 
     /// Serialize the device state (the [`Snapshot`] encoding of the
     /// concrete type; [`load_backend`] dispatches on the configured
@@ -184,33 +200,27 @@ pub trait MemoryBackend: std::fmt::Debug {
     }
 }
 
-impl MemoryBackend for Hmc {
+impl<T: Topology> MemoryBackend for Device<T> {
     fn kind(&self) -> BackendKind {
-        BackendKind::Hmc
-    }
-    fn units(&self) -> u32 {
-        self.config().vaults
+        T::KIND
     }
     fn submit(&mut self, req: HmcRequest, now: Cycle) {
-        Hmc::submit(self, req, now);
+        Device::submit(self, req, now);
     }
     fn tick(&mut self, now: Cycle) {
-        Hmc::tick(self, now);
+        Device::tick(self, now);
     }
     fn pop_responses(&mut self, now: Cycle, out: &mut Vec<HmcResponse>) {
-        Hmc::pop_responses(self, now, out);
+        Device::pop_responses(self, now, out);
     }
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        Hmc::next_event(self, now)
+        Device::next_event(self, now)
     }
     fn next_visible(&self, now: Cycle) -> Option<Cycle> {
-        Hmc::next_visible(self, now)
+        Device::next_visible(self, now)
     }
     fn is_idle(&self) -> bool {
-        Hmc::is_idle(self)
-    }
-    fn inflight(&self) -> usize {
-        Hmc::inflight(self)
+        Device::is_idle(self)
     }
     fn stats(&self) -> &HmcStats {
         &self.stats
@@ -219,28 +229,31 @@ impl MemoryBackend for Hmc {
         &self.energy
     }
     fn bank_conflicts(&self) -> u64 {
-        Hmc::bank_conflicts(self)
+        Device::bank_conflicts(self)
     }
     fn finalize_stats(&mut self) {
-        Hmc::finalize_stats(self);
+        Device::finalize_stats(self);
     }
     fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), FaultPlanError> {
-        Hmc::set_fault_plan(self, plan)
+        Device::set_fault_plan(self, plan)
     }
     fn faults_injected(&self) -> u64 {
-        Hmc::faults_injected(self)
+        Device::faults_injected(self)
     }
     fn set_ras_plan(&mut self, plan: RasPlan) -> Result<(), RasPlanError> {
-        Hmc::set_ras_plan(self, plan)
+        Device::set_ras_plan(self, plan)
     }
     fn ras_stats(&self) -> Option<RasStats> {
-        Hmc::ras_stats(self)
+        Device::ras_stats(self)
     }
     fn set_tracer(&mut self, tracer: TraceHandle) {
-        Hmc::set_tracer(self, tracer);
+        Device::set_tracer(self, tracer);
+    }
+    fn stall_cycles(&self) -> Option<StallCycles> {
+        Device::stall_cycles(self)
     }
     fn save_state(&self, w: &mut SnapWriter) {
-        Snapshot::save(self, w);
+        self.save(w);
     }
 }
 
@@ -277,7 +290,6 @@ mod tests {
             let cfg = SimConfig::for_backend(kind);
             let dev = build_backend(&cfg);
             assert_eq!(dev.kind(), kind);
-            assert_eq!(dev.units(), cfg.active_units());
             assert!(dev.is_idle());
         }
     }

@@ -216,9 +216,16 @@ impl CampaignReport {
             .and_then(Json::as_str)
             .ok_or_else(|| "phase missing name".to_string())?;
         let secs = ev.get("seconds").and_then(Json::as_f64).unwrap_or(0.0);
-        match self.phases.iter_mut().find(|(n, _)| n == name) {
-            Some((_, total)) => *total += secs,
-            None => self.phases.push((name.to_string(), secs)),
+        let prior = self.phases.iter().position(|(n, _)| n == name);
+        let total = prior.map_or(0.0, |i| self.phases[i].1) + secs;
+        // Every input is finite, but a sum of them need not be; a total
+        // of inf would render as invalid JSON.
+        if !total.is_finite() {
+            return Err(format!("phase '{name}' total is no longer finite"));
+        }
+        match prior {
+            Some(i) => self.phases[i].1 = total,
+            None => self.phases.push((name.to_string(), total)),
         }
         Ok(())
     }
@@ -595,6 +602,21 @@ mod tests {
         let parsed = Json::parse(&json).expect("render_json writes valid JSON");
         let phases = parsed.get("phases").and_then(|p| p.get("clean_matrix"));
         assert_eq!(phases.and_then(Json::as_f64), Some(0.5), "{json}");
+    }
+
+    #[test]
+    fn a_phase_total_that_overflows_is_a_located_stream_error() {
+        let line = "{\"v\":1,\"ev\":\"phase\",\"name\":\"a\",\"seconds\":1.7e308}\n";
+        let mut report = CampaignReport::new();
+        report.ingest_str(&line.repeat(2), "big.jsonl");
+        assert_eq!(report.errors().len(), 1, "{:?}", report.errors());
+        assert!(report.errors()[0].starts_with("big.jsonl:2:"), "{:?}", report.errors());
+        assert!(report.errors()[0].contains("no longer finite"), "{:?}", report.errors());
+        // The refused line leaves the total it found, and the JSON valid.
+        let json = report.render_json();
+        let parsed = Json::parse(&json).expect("render_json writes valid JSON");
+        let total = parsed.get("phases").and_then(|p| p.get("a")).and_then(Json::as_f64);
+        assert_eq!(total, Some(1.7e308), "{json}");
     }
 
     #[test]

@@ -280,14 +280,13 @@ pub trait Snapshot: Sized {
 /// fields are reachable. An optional `skip { field: expr, ... }` block
 /// names fields that are *not* serialized and are instead rebuilt with
 /// the given expression on load — legal only for state that is provably
-/// redundant or empty at every checkpoint boundary.
+/// redundant or empty at every checkpoint boundary. A generic struct
+/// names its parameters first: `snapshot_fields!(impl<T: Bound> S<T> { .. })`.
 #[macro_export]
 macro_rules! snapshot_fields {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        $crate::snapshot_fields!($ty { $($field),+ } skip {});
-    };
-    ($ty:ty { $($field:ident),+ $(,)? } skip { $($dfield:ident: $dval:expr),* $(,)? }) => {
-        impl $crate::snapshot::Snapshot for $ty {
+    (impl<$($gen:ident: $bound:path),*> $ty:ty { $($field:ident),+ $(,)? }
+        skip { $($dfield:ident: $dval:expr),* $(,)? }) => {
+        impl<$($gen: $bound),*> $crate::snapshot::Snapshot for $ty {
             fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
                 $( $crate::snapshot::Snapshot::save(&self.$field, w); )+
             }
@@ -300,6 +299,9 @@ macro_rules! snapshot_fields {
                 })
             }
         }
+    };
+    ($ty:ty { $($field:ident),+ $(,)? } $(skip { $($dfield:ident: $dval:expr),* $(,)? })?) => {
+        $crate::snapshot_fields!(impl<> $ty { $($field),+ } skip { $($($dfield: $dval),*)? });
     };
 }
 

@@ -9,6 +9,7 @@
 
 use pac_repro::coalescer::{MemoryCoalescer, PacCoalescer};
 use pac_repro::hmc::{Hmc, HmcRequest};
+use pac_repro::mem::MemoryBackend;
 use pac_repro::types::addr::block_addr;
 use pac_repro::types::{CoalescerConfig, HmcDeviceConfig, MemRequest, Op, RequestKind};
 

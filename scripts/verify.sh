@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Repo verification gate: release build, every workspace test, and the
-# lint wall over every target (libraries, binaries, tests, examples).
+# Repo verification gate: release build, every workspace test, the lint
+# wall over every target (libraries, binaries, tests, examples), and the
+# benchmark crate's own tests (bench/ is a separate cargo workspace, so
+# a crate API change that breaks it fails here, not in a benchmark run).
 #
 #   $ scripts/verify.sh
 #
@@ -18,5 +20,8 @@ cargo test --workspace -q
 
 echo "== lint: clippy, every target (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== bench: benchmark crate tests =="
+cargo test --release -q --offline --manifest-path bench/Cargo.toml
 
 echo "== verify: all stages passed =="

@@ -5,6 +5,7 @@ use pac_repro::coalescer::baseline::{MshrDmc, NoCoalescing};
 use pac_repro::coalescer::table::{runs_of, CoalescingTable};
 use pac_repro::coalescer::{MemoryCoalescer, PacCoalescer};
 use pac_repro::hmc::{EnergyBreakdown, Hmc, HmcRequest, HmcResponse, HmcStats};
+use pac_repro::mem::MemoryBackend;
 use pac_repro::types::addr::block_addr;
 use pac_repro::types::{
     BackendKind, CoalescerConfig, Cycle, FaultClass, FaultPlan, HmcDeviceConfig, MemRequest, Op,
