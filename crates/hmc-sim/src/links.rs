@@ -181,6 +181,7 @@ pac_types::snapshot_fields!(Links { cfg, req_busy, rsp_busy, rr });
 
 impl Links {
     /// Effective cycles-per-FLIT on `link`: doubled at half width.
+    #[inline]
     fn cycles_per_flit(&self, ras: Option<&LinkRas>, link: usize) -> Cycle {
         let base = self.cfg.link_cycles_per_flit;
         if ras.is_some_and(|ras| ras.half[link]) {
@@ -191,6 +192,7 @@ impl Links {
     }
 
     /// Crossbar traversal between a link and a vault.
+    #[inline]
     fn xbar(&self, remote: bool) -> Cycle {
         if remote {
             self.cfg.xbar_remote_cycles
@@ -203,6 +205,7 @@ impl Links {
     /// arbitration and path setup for one packet), as in the paper's
     /// Sec 2.1.2 accounting: coalescing four requests into one saves
     /// three route operations even though the payload FLITs remain.
+    #[inline]
     fn charge_route(&self, energy: &mut EnergyBreakdown, remote: bool) {
         if remote {
             energy.add(EnergyClass::LinkRemoteRoute, 1, self.cfg.e_link_remote_route);
@@ -239,6 +242,7 @@ impl Topology for Links {
         self.cfg.vault_of(addr)
     }
 
+    #[inline]
     fn min_return(&self) -> Cycle {
         self.xbar(false).min(self.xbar(true)) + self.cfg.link_cycles_per_flit
     }
@@ -253,6 +257,7 @@ impl Topology for Links {
         ras.stats
     }
 
+    #[inline]
     fn send(
         &mut self,
         mut ras: Option<&mut LinkRas>,
@@ -299,6 +304,7 @@ impl Topology for Links {
         }
     }
 
+    #[inline]
     fn send_back(
         &mut self,
         ras: Option<&mut LinkRas>,

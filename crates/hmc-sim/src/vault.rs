@@ -35,6 +35,7 @@ pub struct Bank {
 /// Cycles after issue at which a closed-page reference of `bytes` has
 /// its data ready (activate, then one column access per 32 B), and at
 /// which its bank frees up again (after the precharge).
+#[inline]
 pub fn reference_timing(
     bytes: u64,
     t_activate: Cycle,
@@ -50,6 +51,7 @@ pub fn reference_timing(
 /// every `interval` cycles (either 0 disables refresh); a unit's `banks`
 /// are staggered across the interval, offset by half an interval so
 /// cycle 0 (cold start) is never inside a window.
+#[inline]
 pub fn refresh_adjusted_start(
     start: Cycle,
     bank: u32,
@@ -116,6 +118,7 @@ pac_types::snapshot_fields!(Vault { queue, banks, next_issue });
 impl Vault {
     /// The head's issue cycle before and after the refresh push-out:
     /// arrival, the one-issue-per-cycle port, and the bank.
+    #[inline]
     fn head_start(&self, cfg: &HmcDeviceConfig, head: &QueuedRequest) -> (Cycle, Cycle) {
         let bank = &self.banks[head.bank as usize];
         let base = head.arrival.max(self.next_issue).max(bank.busy_until);
@@ -135,6 +138,7 @@ impl Unit for Vault {
         }
     }
 
+    #[inline]
     fn enqueue(&mut self, req: QueuedRequest) {
         self.queue.push_back(req);
     }
@@ -199,6 +203,7 @@ impl Unit for Vault {
 
     /// Computed from the same arrival/issue-port/bank/refresh terms as
     /// the issue path, so the estimate is exact for the current head.
+    #[inline]
     fn next_head_start(&self, cfg: &HmcDeviceConfig, now: Cycle) -> Option<Cycle> {
         let head = self.queue.front()?;
         Some(self.head_start(cfg, head).1.max(now))

@@ -208,6 +208,7 @@ impl Topology for Buses {
         ras.stats
     }
 
+    #[inline]
     fn send(
         &mut self,
         ras: Option<&mut MemRas>,
@@ -240,6 +241,7 @@ impl Topology for Buses {
         Route { unit: channel, bank, link: channel, remote: false, arrival }
     }
 
+    #[inline]
     fn send_back(
         &mut self,
         ras: Option<&mut MemRas>,
